@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+.PHONY: build test vet staticcheck race check bench bench-module fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
 
 build:
 	$(GO) build ./...
@@ -21,10 +21,8 @@ staticcheck:
 	fi
 
 # Race-detect the whole module: psrpc runs real goroutines and sockets,
-# sweep's parallel Engine drives concurrent simulations (now including
-# the collective workload), and the sharded engine runs one simulation's
-# shards on parallel goroutines (sim.ShardedKernel, sweep.RunSharded and
-# their stress tests), so nothing is exempt.
+# and sweep's parallel Engine drives concurrent simulations (now
+# including the collective workload), so nothing is exempt.
 race:
 	$(GO) test -race -timeout 45m ./...
 
@@ -57,7 +55,13 @@ openworld-smoke:
 flow-equiv:
 	$(GO) test ./internal/sweep -run '^TestFlowEquiv' -count=1 -v
 
-check: build vet staticcheck test race examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+# bench-module vets and tests the benchmark/ module. It is a separate Go
+# module, so the root `go build ./...` never compiles it; without this
+# target a removed or renamed API it calls would break it silently.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet staticcheck test race bench-module examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.

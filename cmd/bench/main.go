@@ -111,10 +111,6 @@ func main() {
 		rep.Events, rep.NsPerEvent, rep.AllocsPerEvent)
 	fmt.Printf("  fabric: %d chunks through a contended leaf-spine core link, %.0f ns/chunk\n",
 		rep.FabricChunks, rep.FabricNsPerChunk)
-	for _, p := range rep.ShardScale {
-		fmt.Printf("  sharded engine: %d shards @ GOMAXPROCS=%d: %.2fs (%.2fx vs 1 shard)\n",
-			p.Shards, p.Procs, p.WallSec, p.Speedup)
-	}
 	for _, p := range rep.FlowVsChunk {
 		fmt.Printf("  flow fabric %s: chunk %.2fs (%d events) vs flow %.2fs (%d events), %.1fx faster\n",
 			p.Scenario, p.ChunkSec, p.ChunkEvents, p.FlowSec, p.FlowEvents, p.Speedup)

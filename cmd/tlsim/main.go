@@ -18,7 +18,6 @@
 //	tlsim -scheduler phase-aware -oversub 2 -policy tls-rr -steps 3000
 //	tlsim -arrivals bursty -mix mixed -hetero -policy tls-srsf -steps 3000
 //	tlsim -arrivals trace -arrival-trace jobs.csv -policy tls-rr
-//	tlsim -shards 3 -policy tls-rr -steps 3000    # sharded engine, same results
 package main
 
 import (
@@ -92,8 +91,6 @@ func main() {
 		collModel  = flag.String("collective-model", "alexnet", "collective: model from the zoo")
 		collIters  = flag.Int("iters", 0, "collective: iterations per job (0 = steps/30)")
 		buckets    = flag.Int("buckets", 0, "collective: gradient buckets per iteration (0 = default)")
-		shards     = flag.Int("shards", 0, "run on the sharded engine with this many event-kernel partitions (0 = single kernel); results are byte-identical at every shard count")
-		shardCells = flag.Int("shard-cells", 0, "sharded: placement cells jobs are confined to (0 = one per shard); must split into whole shards")
 		traceOut   = flag.String("trace", "", "write a CSV event trace to this file")
 		replicates = flag.Int("replicates", 1, "run this many consecutive seeds and report mean ± std avg JCT")
 		parallel   = flag.Int("parallel", 0, "concurrent replicate trials (0 = GOMAXPROCS, 1 = sequential)")
@@ -202,9 +199,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "tlsim: unknown workload %q\n", *workload)
 		os.Exit(2)
-	}
-	if *shards > 0 {
-		cfg.Sharded = &tensorlights.ShardedConfig{Shards: *shards, Cells: *shardCells}
 	}
 	if *schedule != "" {
 		if *faultFlapPS || len(crashes) > 0 {
@@ -393,13 +387,6 @@ func main() {
 			fmt.Printf("open world arrivals=%s mix=%s hosts=%s policy=%s oversub=%g:1 jobs=%d arrival-rate=%g/s steps=%d seed=%d\n",
 				owArrivals, owMix, hosts, pol, owOversub, owJobs, owRate, *steps, *seed)
 		}
-	} else if s := cfg.Sharded; s != nil {
-		cells := s.Cells
-		if cells == 0 {
-			cells = s.Shards
-		}
-		fmt.Printf("workload=%s policy=%s shards=%d cells=%d jobs=%d batch=%d steps=%d seed=%d\n",
-			*workload, pol, s.Shards, cells, cfg.NumJobs, *batch, *steps, *seed)
 	} else {
 		fmt.Printf("workload=%s policy=%s placement=#%d jobs=%d batch=%d steps=%d seed=%d\n",
 			*workload, pol, *placement, cfg.NumJobs, *batch, *steps, *seed)

@@ -74,20 +74,6 @@ func CollectiveSpecs(m dl.Model, rings [][]int, alg collective.Algorithm,
 // at each job's start time — TensorLights hooks job arrivals here.
 func (tb *Testbed) LaunchCollective(specs []collective.JobSpec, staggerSec float64,
 	onStart func(*collective.Job)) ([]*collective.Job, error) {
-	offsets := make([]float64, len(specs))
-	for i := range offsets {
-		offsets[i] = float64(i) * staggerSec
-	}
-	return tb.LaunchCollectiveAt(specs, offsets, onStart)
-}
-
-// LaunchCollectiveAt is LaunchCollective with an explicit start offset
-// per spec, mirroring LaunchAt for sharded runs.
-func (tb *Testbed) LaunchCollectiveAt(specs []collective.JobSpec, offsets []float64,
-	onStart func(*collective.Job)) ([]*collective.Job, error) {
-	if len(offsets) != len(specs) {
-		return nil, fmt.Errorf("cluster: %d offsets for %d collective specs", len(offsets), len(specs))
-	}
 	jobs := make([]*collective.Job, len(specs))
 	for i, spec := range specs {
 		j, err := collective.NewJob(tb.Env, spec)
@@ -98,11 +84,10 @@ func (tb *Testbed) LaunchCollectiveAt(specs []collective.JobSpec, offsets []floa
 	}
 	for i, j := range jobs {
 		j := j
-		cb := onStart
-		tb.K.Post(tb.K.Now()+offsets[i], func() {
+		tb.K.Post(tb.K.Now()+float64(i)*staggerSec, func() {
 			j.Start()
-			if cb != nil {
-				cb(j)
+			if onStart != nil {
+				onStart(j)
 			}
 		})
 	}

@@ -33,14 +33,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Normalized returns the config with defaults filled in, so callers
-// that size data structures off Hosts (e.g. shard planning) see the
-// same host count the testbed will be built with.
-func (c Config) Normalized() Config {
-	c.fillDefaults()
-	return c
-}
-
 // Testbed bundles the substrate a workload runs on.
 type Testbed struct {
 	Cfg    Config
@@ -54,17 +46,8 @@ type Testbed struct {
 
 // NewTestbed builds hosts, NICs and CPUs on a fresh kernel.
 func NewTestbed(cfg Config) *Testbed {
-	return NewTestbedOn(sim.NewKernel(), cfg)
-}
-
-// NewTestbedOn builds the testbed on a caller-supplied kernel. The
-// sharded simulation engine uses it to stand up one full testbed
-// replica per shard kernel; everything else about construction (host
-// set, topology build, RNG derivation from cfg.Seed) is identical to
-// NewTestbed, so replicas built from the same config draw the same
-// per-host random streams.
-func NewTestbedOn(k *sim.Kernel, cfg Config) *Testbed {
 	cfg.fillDefaults()
+	k := sim.NewKernel()
 	rng := sim.NewRNG(cfg.Seed)
 	fab := simnet.New(k, rng, cfg.Net)
 	cpus := make([]*cpusim.CPU, cfg.Hosts)
@@ -129,21 +112,6 @@ func GridSearchSpecs(cfg Config, m dl.Model, numJobs, localBatch, targetSteps in
 // non-nil, fires at each job's start time — TensorLights hooks job
 // arrivals here.
 func (tb *Testbed) Launch(specs []dl.JobSpec, staggerSec float64, onStart func(*dl.Job)) ([]*dl.Job, error) {
-	offsets := make([]float64, len(specs))
-	for i := range offsets {
-		offsets[i] = float64(i) * staggerSec
-	}
-	return tb.LaunchAt(specs, offsets, onStart)
-}
-
-// LaunchAt is Launch with an explicit start offset (seconds from now)
-// per spec. A sharded run launches each shard's job subset with the
-// offsets the jobs would have had in the global launch order, so
-// arrival times are independent of the sharding.
-func (tb *Testbed) LaunchAt(specs []dl.JobSpec, offsets []float64, onStart func(*dl.Job)) ([]*dl.Job, error) {
-	if len(offsets) != len(specs) {
-		return nil, fmt.Errorf("cluster: %d offsets for %d specs", len(offsets), len(specs))
-	}
 	jobs := make([]*dl.Job, len(specs))
 	for i, spec := range specs {
 		j, err := dl.NewJob(tb.Env, spec)
@@ -154,11 +122,10 @@ func (tb *Testbed) LaunchAt(specs []dl.JobSpec, offsets []float64, onStart func(
 	}
 	for i, j := range jobs {
 		j := j
-		cb := onStart
-		tb.K.Post(tb.K.Now()+offsets[i], func() {
+		tb.K.Post(tb.K.Now()+float64(i)*staggerSec, func() {
 			j.Start()
-			if cb != nil {
-				cb(j)
+			if onStart != nil {
+				onStart(j)
 			}
 		})
 	}

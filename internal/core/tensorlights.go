@@ -137,18 +137,6 @@ type Config struct {
 	// and retries hosts stuck in FIFO fallback (default 10 s; negative
 	// disables reconciliation).
 	ReconcileIntervalSec float64
-	// GridTimers aligns the rotation and reconcile timers to absolute
-	// multiples of their intervals (firing at k*interval rather than
-	// firstArrival + k*interval), derives the rotation counter from
-	// simulated time, anchors the policy's phase the same way, and
-	// emits one priority_rotate event per contended host (Host set)
-	// instead of a single global one. Timer phase and trace output then
-	// depend only on which jobs each host carries — not on when this
-	// controller instance saw its first arrival — which is what lets
-	// the per-shard controllers of a sharded run reproduce the
-	// single-kernel run's actions exactly. Default false: relative
-	// timers, byte-identical to the paper's daemon behaviour.
-	GridTimers bool
 }
 
 func (c *Config) fillDefaults() {
@@ -333,11 +321,10 @@ func New(k *sim.Kernel, tcc *tc.Controller, rng *sim.RNG, cfg Config) *Controlle
 	cfg.fillDefaults()
 	stream := rng.Stream("tensorlights")
 	pol, err := policy.New(cfg.policyName(), policy.Params{
-		Bands:        cfg.Bands,
-		IntervalSec:  cfg.IntervalSec,
-		Order:        policy.Order(cfg.Order),
-		RNG:          stream,
-		TimeAnchored: cfg.GridTimers,
+		Bands:       cfg.Bands,
+		IntervalSec: cfg.IntervalSec,
+		Order:       policy.Order(cfg.Order),
+		RNG:         stream,
 	})
 	if err != nil {
 		panic("tensorlights: " + err.Error())
@@ -467,28 +454,11 @@ func (c *Controller) rotationInterval() float64 {
 	return policy.Interval(c.pol)
 }
 
-// nextGridPoint returns the smallest multiple of ivl strictly after
-// now (grid-timer firing times are absolute multiples of the
-// interval).
-func nextGridPoint(now, ivl float64) float64 {
-	n := math.Floor(now/ivl) + 1
-	at := n * ivl
-	for at <= now {
-		n++
-		at = n * ivl
-	}
-	return at
-}
-
 // armRotation starts the re-ranking timer on first demand for rotating
 // policies.
 func (c *Controller) armRotation() {
 	ivl := c.rotationInterval()
 	if ivl <= 0 || c.rotateEv != nil {
-		return
-	}
-	if c.cfg.GridTimers {
-		c.rotateEv = c.k.Schedule(nextGridPoint(c.k.Now(), ivl), c.rotate)
 		return
 	}
 	c.rotateEv = c.k.ScheduleAfter(ivl, c.rotate)
@@ -502,34 +472,14 @@ func (c *Controller) rotate() {
 		return
 	}
 	now := c.k.Now()
-	if c.cfg.GridTimers {
-		// The timer fires at exact interval multiples; the counter is
-		// the multiple, so it never depends on how many times this
-		// controller instance has fired.
-		c.rotation = int(now/c.rotationInterval() + 0.5)
-	} else {
-		c.rotation++
-	}
+	c.rotation++
 	policy.Advance(c.pol, now)
-	if c.cfg.GridTimers {
-		// Per-host events: each contended host's rotation is its own
-		// observable, so a sharded run's merged trace matches whichever
-		// controller instance manages the host.
-		for _, host := range c.contendedHosts() {
-			c.emit(trace.Event{
-				At: now, Kind: trace.KindPriorityRotate,
-				Job: -1, Host: host, Worker: -1, Value: float64(c.rotation),
-			})
-			c.rotateHost(host)
-		}
-	} else {
-		c.emit(trace.Event{
-			At: now, Kind: trace.KindPriorityRotate,
-			Job: -1, Host: -1, Worker: -1, Value: float64(c.rotation),
-		})
-		for _, host := range c.contendedHosts() {
-			c.rotateHost(host)
-		}
+	c.emit(trace.Event{
+		At: now, Kind: trace.KindPriorityRotate,
+		Job: -1, Host: -1, Worker: -1, Value: float64(c.rotation),
+	})
+	for _, host := range c.contendedHosts() {
+		c.rotateHost(host)
 	}
 	c.armRotation()
 }
@@ -819,10 +769,6 @@ func (c *Controller) cancelRetry(st *hostState) {
 // armReconcile starts the periodic reconcile loop on first demand.
 func (c *Controller) armReconcile() {
 	if c.cfg.ReconcileIntervalSec < 0 || c.reconcileEv != nil {
-		return
-	}
-	if c.cfg.GridTimers {
-		c.reconcileEv = c.k.Schedule(nextGridPoint(c.k.Now(), c.cfg.ReconcileIntervalSec), c.reconcile)
 		return
 	}
 	c.reconcileEv = c.k.ScheduleAfter(c.cfg.ReconcileIntervalSec, c.reconcile)

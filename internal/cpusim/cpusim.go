@@ -9,6 +9,7 @@ package cpusim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -21,7 +22,9 @@ type CPU struct {
 	threads float64
 	speed   float64 // per-thread speed factor (1 = reference host)
 
-	tasks          map[*Task]struct{}
+	// tasks is in submission order: tied completions retire, and fire
+	// their callbacks, in that order on every run.
+	tasks          []*Task
 	sumDemand      float64
 	lastUpdate     float64
 	busyTime       float64 // cumulative thread-seconds of work done
@@ -65,7 +68,7 @@ func NewCPUAtSpeed(k *sim.Kernel, threads, speed float64) *CPU {
 	if speed <= 0 {
 		panic(fmt.Sprintf("cpusim: speed must be positive, got %g", speed))
 	}
-	c := &CPU{k: k, threads: threads, speed: speed, tasks: make(map[*Task]struct{})}
+	c := &CPU{k: k, threads: threads, speed: speed}
 	c.onCompletionFn = c.onCompletion
 	return c
 }
@@ -122,7 +125,7 @@ func (c *CPU) advance() {
 		return
 	}
 	s := c.speedup()
-	for t := range c.tasks {
+	for _, t := range c.tasks {
 		t.remaining -= dt * s * t.demand
 		if t.remaining < 0 {
 			t.remaining = 0
@@ -140,7 +143,7 @@ func (c *CPU) reschedule() {
 	}
 	s := c.speedup()
 	earliest := sim.Forever
-	for t := range c.tasks {
+	for _, t := range c.tasks {
 		eta := t.remaining / (s * t.demand)
 		if eta < earliest {
 			earliest = eta
@@ -155,15 +158,17 @@ func (c *CPU) onCompletion() {
 	c.advance()
 	const eps = 1e-12
 	finished := c.finishedBuf[:0]
-	for t := range c.tasks {
+	live := c.tasks[:0]
+	for _, t := range c.tasks {
 		if t.remaining <= eps {
 			finished = append(finished, t)
+			c.sumDemand -= t.demand
+		} else {
+			live = append(live, t)
 		}
 	}
-	for _, t := range finished {
-		delete(c.tasks, t)
-		c.sumDemand -= t.demand
-	}
+	clear(c.tasks[len(live):])
+	c.tasks = live
 	if c.sumDemand < 0 {
 		c.sumDemand = 0
 	}
@@ -209,7 +214,7 @@ func (c *CPU) Submit(work, demand float64, onDone func()) *Task {
 	t := &c.taskArena[0]
 	c.taskArena = c.taskArena[1:]
 	t.cpu, t.remaining, t.demand, t.onDone = c, work, demand, onDone
-	c.tasks[t] = struct{}{}
+	c.tasks = append(c.tasks, t)
 	c.sumDemand += demand
 	c.reschedule()
 	return t
@@ -222,11 +227,12 @@ func (c *CPU) Cancel(t *Task) {
 	}
 	t.canceled = true
 	t.onDone = nil
-	if _, ok := c.tasks[t]; !ok {
+	i := slices.Index(c.tasks, t)
+	if i < 0 {
 		return
 	}
 	c.advance()
-	delete(c.tasks, t)
+	c.tasks = slices.Delete(c.tasks, i, i+1)
 	c.sumDemand -= t.demand
 	if c.sumDemand < 0 {
 		c.sumDemand = 0

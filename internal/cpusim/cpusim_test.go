@@ -276,3 +276,30 @@ func TestSetSpeedPanicsOnZero(t *testing.T) {
 	}()
 	c.SetSpeed(0)
 }
+
+// TestTiedCompletionsFireInSubmissionOrder: tasks that finish at the
+// same instant retire in one pass, and their callbacks must fire in the
+// order the tasks were submitted. Callback order decides kernel
+// sequence numbers downstream, so any other order would make identical
+// seeds yield different traces.
+func TestTiedCompletionsFireInSubmissionOrder(t *testing.T) {
+	const tasks = 6
+	for run := 0; run < 200; run++ {
+		k := sim.NewKernel()
+		c := NewCPU(k, 12)
+		var order []int
+		for i := 0; i < tasks; i++ {
+			i := i
+			c.Submit(1.0, 1, func() { order = append(order, i) })
+		}
+		k.Run(nil)
+		if len(order) != tasks {
+			t.Fatalf("run %d: %d of %d tasks completed", run, len(order), tasks)
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("run %d: completion order %v, want submission order", run, order)
+			}
+		}
+	}
+}

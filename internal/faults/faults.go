@@ -56,18 +56,6 @@ type Injector struct {
 	// Tracer, when non-nil, receives link_down/link_up events.
 	Tracer trace.Tracer
 
-	// OwnHost and OwnLink, when non-nil, restrict which hosts and core
-	// links Apply actually schedules faults on — the sharded engine
-	// gives every shard's injector the same global plan with an
-	// ownership filter. Crucially, Apply makes every RNG draw (flap
-	// jitter) for every host in the plan whether owned or not, so each
-	// shard replays the identical global schedule and then keeps only
-	// its own slice. With a filter set, crash entries naming jobs
-	// absent from the maps are skipped instead of rejected (the job
-	// lives on another shard).
-	OwnHost func(host int) bool
-	OwnLink func(link int) bool
-
 	// Per-host window depth counters: overlapping windows of the same
 	// kind nest, and the fault clears only when the last window ends.
 	linkDepth map[int]int
@@ -110,14 +98,6 @@ func New(k *sim.Kernel, rng *sim.RNG, fabric *simnet.Fabric, tcc *tc.Controller)
 
 // Counts returns the tally of faults fired so far.
 func (in *Injector) Counts() Counts { return in.counts }
-
-func (in *Injector) ownsHost(h int) bool { return in.OwnHost == nil || in.OwnHost(h) }
-
-func (in *Injector) ownsLink(l int) bool { return in.OwnLink == nil || in.OwnLink(l) }
-
-// filtered reports whether any ownership filter is installed — Apply
-// then treats the plan as one shard's slice of a global schedule.
-func (in *Injector) filtered() bool { return in.OwnHost != nil || in.OwnLink != nil }
 
 // window schedules a start/end pair, clamping a start time in the past
 // to the current simulation time.
@@ -508,13 +488,7 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 			for t := p.FlapFirstAtSec; t < p.HorizonSec; t += p.FlapEverySec {
 				at := t
 				if p.FlapJitterSec > 0 {
-					// Draw before the ownership check: every injector
-					// consumes the same stream positions, so the global
-					// schedule is shard-invariant.
 					at += in.rng.Float64() * p.FlapJitterSec
-				}
-				if !in.ownsHost(h) {
-					continue
 				}
 				if p.DegradeFactor > 0 {
 					in.RateDegrade(h, at, p.FlapDurationSec, p.DegradeFactor)
@@ -535,9 +509,6 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 			return fmt.Errorf("faults: CoreLinks[%d] names link %d, but the %s topology has %d core links",
 				i, c.Link, in.fabric.Topology().Kind(), n)
 		}
-		if !in.ownsLink(c.Link) {
-			continue
-		}
 		if c.Factor > 0 {
 			in.CoreLinkDegrade(c.Link, c.AtSec, c.DurSec, c.Factor)
 		} else {
@@ -547,24 +518,15 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 	for _, o := range p.TCOutages {
 		if o.Host == -1 {
 			for _, h := range dedupSorted(psHosts) {
-				if in.ownsHost(h) {
-					in.TCOutage(h, o.AtSec, o.DurSec)
-				}
+				in.TCOutage(h, o.AtSec, o.DurSec)
 			}
 			continue
 		}
-		if in.ownsHost(o.Host) {
-			in.TCOutage(o.Host, o.AtSec, o.DurSec)
-		}
+		in.TCOutage(o.Host, o.AtSec, o.DurSec)
 	}
 	for i, c := range p.Crashes {
 		j, ok := jobs[c.Job]
 		if !ok {
-			if in.filtered() {
-				// The job belongs to another shard; its injector owns
-				// the crash.
-				continue
-			}
 			return fmt.Errorf("faults: Crashes[%d] names unknown job %d", i, c.Job)
 		}
 		if c.Worker < 0 || c.Worker >= j.Spec.NumWorkers {
@@ -576,9 +538,6 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 	for i, c := range p.PeerCrashes {
 		j, ok := cjobs[c.Job]
 		if !ok {
-			if in.filtered() {
-				continue
-			}
 			return fmt.Errorf("faults: PeerCrashes[%d] names unknown collective job %d", i, c.Job)
 		}
 		if c.Worker < 0 || c.Worker >= j.N() {

@@ -2,7 +2,7 @@ package faults
 
 import (
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -439,72 +439,22 @@ func TestCoreLinkPlanValidation(t *testing.T) {
 	}
 }
 
-// shardFaultTrace applies one flap-heavy plan on a fresh testbed with
-// the given host-ownership filter and returns the resulting trace plus
-// fired counts. A nil filter owns everything.
-func shardFaultTrace(t *testing.T, own func(int) bool) ([]trace.Event, Counts) {
-	t.Helper()
-	tb := testbed(11)
-	inj := New(tb.K, tb.RNG, tb.Fabric, nil)
-	buf := &trace.Buffer{}
-	inj.Tracer = buf
-	inj.OwnHost = own
-	plan := Plan{
-		FlapHosts:       []int{0, 1, 2, 3},
-		FlapFirstAtSec:  0.01,
-		FlapEverySec:    0.05,
-		FlapDurationSec: 0.02,
-		FlapJitterSec:   0.03,
-		HorizonSec:      0.2,
-	}
-	if err := inj.Apply(plan, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	tb.K.RunUntil(1)
-	return buf.Events(), inj.Counts()
-}
-
-// TestOwnHostFiltersPartitionSchedule is the sharded-faults contract:
-// injectors given complementary ownership filters must, in union,
-// reproduce the unfiltered injector's schedule exactly — including the
-// jittered window times, which depend on RNG draws being made for
-// unowned hosts too.
-func TestOwnHostFiltersPartitionSchedule(t *testing.T) {
-	all, allCounts := shardFaultTrace(t, nil)
-	even, evenCounts := shardFaultTrace(t, func(h int) bool { return h%2 == 0 })
-	odd, oddCounts := shardFaultTrace(t, func(h int) bool { return h%2 == 1 })
-
-	merged := trace.MergeCanonical(even, odd)
-	want := trace.MergeCanonical(all)
-	if !reflect.DeepEqual(merged, want) {
-		t.Fatalf("union of filtered schedules differs from unfiltered:\n got %d events %+v\nwant %d events %+v",
-			len(merged), merged, len(want), want)
-	}
-	if got := evenCounts.LinkFlaps + oddCounts.LinkFlaps; got != allCounts.LinkFlaps {
-		t.Fatalf("filtered flap counts sum to %d, want %d", got, allCounts.LinkFlaps)
-	}
-	if len(even) == 0 || len(odd) == 0 {
-		t.Fatal("a filter shard scheduled nothing; test is vacuous")
-	}
-}
-
-// TestFilteredApplySkipsForeignCrashes: with an ownership filter set,
-// crash entries naming jobs absent from the maps belong to another
-// shard and are skipped, not rejected.
-func TestFilteredApplySkipsForeignCrashes(t *testing.T) {
+// TestApplyRejectsUnknownJobAmongKnown: a crash entry naming a job
+// absent from the jobs map is rejected even when the plan's other
+// entries target a real job.
+func TestApplyRejectsUnknownJobAmongKnown(t *testing.T) {
 	tb := testbed(7)
 	jobs := launch(t, tb, []dl.JobSpec{jobSpec(0, 4)}, nil)
 	inj := New(tb.K, tb.RNG, tb.Fabric, nil)
-	inj.OwnHost = func(int) bool { return true }
 	plan := Plan{Crashes: []CrashPlan{
 		{Job: 0, Worker: 1, AtSec: 0.01},
-		{Job: 99, Worker: 0, AtSec: 0.01}, // other shard's job
+		{Job: 99, Worker: 0, AtSec: 0.01},
 	}}
-	if err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil); err != nil {
-		t.Fatalf("filtered Apply rejected a foreign crash entry: %v", err)
+	err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil)
+	if err == nil {
+		t.Fatal("Apply accepted an unknown job ID")
 	}
-	inj.OwnHost = nil
-	if err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil); err == nil {
-		t.Fatal("unfiltered Apply accepted an unknown job ID")
+	if !strings.Contains(err.Error(), "unknown job 99") {
+		t.Fatalf("error %q does not name the unknown job", err)
 	}
 }

@@ -51,17 +51,7 @@ func (r *roundRobin) Rank(host int, jobs []Job, _ *Feedback) []int {
 
 func (r *roundRobin) RotateInterval() float64 { return r.p.IntervalSec }
 
-func (r *roundRobin) Advance(now float64) {
-	if r.p.TimeAnchored && r.p.IntervalSec > 0 {
-		// Grid-timer mode fires Advance at exact multiples of the
-		// interval; deriving the offset from time (instead of counting
-		// calls) keeps controllers that armed at different first-arrival
-		// times in phase.
-		r.rotation = int(now/r.p.IntervalSec + 0.5)
-		return
-	}
-	r.rotation++
-}
+func (r *roundRobin) Advance(float64) { r.rotation++ }
 
 // leastProgress is TLs-LPF: every interval, jobs are re-ranked
 // least-progress-first so whichever job has fallen behind gets the

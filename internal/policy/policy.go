@@ -56,14 +56,6 @@ type Params struct {
 	Order Order
 	// RNG is the seeded stream used by stochastic orders.
 	RNG *sim.RNG
-	// TimeAnchored makes rotating policies derive their phase from the
-	// simulated time Advance is called at (rotation = now/IntervalSec)
-	// instead of counting Advance calls. With grid-aligned controller
-	// timers this makes the phase a pure function of time, so
-	// controllers that started observing jobs at different moments — the
-	// per-shard controllers of a sharded run — still agree on every
-	// rotation offset.
-	TimeAnchored bool
 }
 
 // Policy ranks a host's contending jobs into priority bands.

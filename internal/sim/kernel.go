@@ -357,47 +357,6 @@ func (k *Kernel) Run(stop func() bool) uint64 {
 	}
 }
 
-// NextAt returns the timestamp of the earliest pending event, discarding
-// canceled events it finds on the way. ok is false when the queue is
-// empty. The sharded engine uses it to derive the next conservative
-// window from the global minimum next-event time.
-func (k *Kernel) NextAt() (at Time, ok bool) {
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			k.recycle(k.queue.pop())
-			continue
-		}
-		return e.at, true
-	}
-	return 0, false
-}
-
-// RunBefore fires events with timestamps strictly less than deadline,
-// leaving later events queued and the clock at the last fired event —
-// it never advances the clock to the deadline itself. This is the
-// conservative-window primitive: a shard may safely execute everything
-// before windowEnd because no cross-shard message can arrive earlier.
-// It returns the number of events fired.
-func (k *Kernel) RunBefore(deadline Time) uint64 {
-	start := k.nFired
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			k.recycle(k.queue.pop())
-			continue
-		}
-		if e.at >= deadline {
-			break
-		}
-		if k.MaxEvents > 0 && k.nFired-start >= k.MaxEvents {
-			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", k.MaxEvents))
-		}
-		k.Step()
-	}
-	return k.nFired - start
-}
-
 // RunUntil fires events with timestamps <= deadline, leaving later events
 // queued and advancing the clock to deadline if it passed it.
 func (k *Kernel) RunUntil(deadline Time) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/flownet"
 	"repro/internal/qdisc"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -199,11 +198,10 @@ func (fm *flowMode) classify(src int, fl *Flow) (band, classLink int) {
 // so a mode switch never perturbs later draws from shared streams.
 func (f *Fabric) sendBurstFlow(src int, specs []FlowSpec) []*Flow {
 	now := f.k.Now()
-	rng := f.jitterRNG(src)
 	flows := make([]*Flow, len(specs))
 	admitted := 0
 	for i, spec := range specs {
-		fl, w := f.sendOneFlow(src, spec, rng, now)
+		fl, w := f.sendOneFlow(src, spec, now)
 		flows[i] = fl
 		admitted += w
 	}
@@ -213,7 +211,7 @@ func (f *Fabric) sendBurstFlow(src int, specs []FlowSpec) []*Flow {
 	// match exactly.
 	if f.cfg.InjectJitter > 0 && len(specs) > 1 {
 		for remaining := admitted; remaining > 0; remaining-- {
-			rng.Intn(remaining)
+			f.rng.Intn(remaining)
 		}
 	}
 	return flows
@@ -223,7 +221,7 @@ func (f *Fabric) sendBurstFlow(src int, specs []FlowSpec) []*Flow {
 // the flow plus its first-window chunk count (the burst jitter burn;
 // zero for loopback). Send calls it directly in flow mode so a single
 // transfer skips the burst slices.
-func (f *Fabric) sendOneFlow(src int, spec FlowSpec, rng *sim.RNG, now float64) (*Flow, int) {
+func (f *Fabric) sendOneFlow(src int, spec FlowSpec, now float64) (*Flow, int) {
 	if spec.Src != src {
 		panic("simnet: SendBurst specs must share src")
 	}
@@ -232,8 +230,8 @@ func (f *Fabric) sendOneFlow(src int, spec FlowSpec, rng *sim.RNG, now float64) 
 	}
 	fm := f.flowEngine()
 	fl := f.newFlow()
-	fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(src), spec, now, -1, -1
-	fl.window = f.sampleWindow(rng)
+	fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
+	fl.window = f.sampleWindow()
 	f.flows[fl.ID] = fl
 	if spec.Dst == src {
 		// Loopback: memory-speed copy, propagation delay only.

@@ -270,22 +270,6 @@ func TestFlowModeDropProbDeratesEgress(t *testing.T) {
 	}
 }
 
-// TestFlowModeShardingRejected: the analytic engine recomputes global
-// rates on one kernel; shard plans must refuse flow mode.
-func TestFlowModeShardingRejected(t *testing.T) {
-	cfg := Config{
-		Mode:       ModeFlow,
-		PerHostRNG: true,
-		Topology:   TopologyConfig{Kind: TopologyLeafSpine, Racks: 2},
-	}
-	if _, err := PlanShards(cfg, 8, 2); err == nil {
-		t.Fatal("PlanShards accepted flow mode with 2 shards")
-	}
-	if _, err := PlanShards(cfg, 8, 1); err != nil {
-		t.Fatalf("PlanShards rejected flow mode with 1 shard: %v", err)
-	}
-}
-
 // TestFlowModePortAccessors: the utilization accessors read from the
 // analytic engine so metrics work unchanged across modes.
 func TestFlowModePortAccessors(t *testing.T) {

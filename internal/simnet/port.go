@@ -265,7 +265,7 @@ func (p *Port) finishService(a any) {
 func (p *Port) finishChunk(c *qdisc.Chunk) {
 	switch p.dir {
 	case "egress":
-		if pr := p.host.dropProb; pr > 0 && p.fabric.dropStream(p.host.ID).Float64() < pr {
+		if pr := p.host.dropProb; pr > 0 && p.fabric.dropRNG.Float64() < pr {
 			p.fabric.chunkLost(p, c)
 			return
 		}

@@ -59,15 +59,6 @@ type Config struct {
 	// chunks lost to an injected per-chunk drop probability (see
 	// Host.SetChunkDropProb). Default 5 ms.
 	RetransmitTimeoutSec float64
-	// PerHostRNG derives an independent window/jitter stream, drop
-	// stream and flow-ID space per source host instead of sharing one
-	// fabric-wide sequence. Each host's randomness then depends only on
-	// its own send history — not on how sends from different hosts
-	// interleave — which is what lets a sharded run (each shard
-	// simulating a subset of the senders) draw exactly the numbers the
-	// single-kernel run draws. Default false: the shared streams keep
-	// every existing seeded result byte-identical.
-	PerHostRNG bool
 	// Topology selects the fabric behind the NIC ports (see
 	// TopologyConfig). The zero value is the flat ideal switch the paper
 	// assumes, which behaves exactly as the pre-topology fabric did.
@@ -167,18 +158,9 @@ type Fabric struct {
 	// topo is the routed fabric behind the NIC ports, built lazily on
 	// first use (once the host set is final).
 	topo Topology
-	// Per-host streams and flow-ID counters, populated by AddHost when
-	// cfg.PerHostRNG is set (see Config.PerHostRNG).
-	hostRNGs     []*sim.RNG
-	hostDropRNGs []*sim.RNG
-	hostFlowSeq  []uint64
-	// shard binds this fabric to one shard of a ShardedFabric; nil for
-	// an ordinary single-kernel fabric.
-	shard *shardBinding
 	// chunkFree recycles chunk structs: a delivered chunk has no aliases
 	// (qdiscs never retain chunks past Dequeue), so steady-state chunk
-	// traffic allocates nothing. Each fabric recycles into its own pool —
-	// under sharding a chunk may be freed on the destination's shard.
+	// traffic allocates nothing.
 	chunkFree []*qdisc.Chunk
 	// flowArena hands out Flow structs from block allocations; flowFree
 	// recycles the ones whose spec was marked Transient (the caller
@@ -295,44 +277,12 @@ func (f *Fabric) AddHost(name string) *Host {
 	if f.topo != nil {
 		panic("simnet: AddHost after the topology was built")
 	}
-	if f.cfg.PerHostRNG {
-		f.hostRNGs = append(f.hostRNGs, f.rng.Stream(fmt.Sprintf("host-%d", h.ID)))
-		f.hostDropRNGs = append(f.hostDropRNGs, f.dropRNG.Stream(fmt.Sprintf("host-%d", h.ID)))
-		f.hostFlowSeq = append(f.hostFlowSeq, 0)
-	}
 	f.hosts = append(f.hosts, h)
 	return h
 }
 
-// jitterRNG returns the stream that samples host src's flow windows and
-// injection interleaving: the per-host stream under PerHostRNG, the
-// shared fabric stream otherwise.
-func (f *Fabric) jitterRNG(src int) *sim.RNG {
-	if f.cfg.PerHostRNG {
-		return f.hostRNGs[src]
-	}
-	return f.rng
-}
-
-// dropStream returns the stream that decides injected chunk loss for
-// egress transmissions from host src.
-func (f *Fabric) dropStream(src int) *sim.RNG {
-	if f.cfg.PerHostRNG {
-		return f.hostDropRNGs[src]
-	}
-	return f.dropRNG
-}
-
-// newFlowID assigns the next flow ID for a transfer from host src.
-// Under PerHostRNG each host numbers its own flows in a disjoint ID
-// space (src+1 in the high 32 bits), so a flow's ID — which reaches
-// traces via chunk_drop details — does not depend on other hosts' send
-// interleaving.
-func (f *Fabric) newFlowID(src int) uint64 {
-	if f.cfg.PerHostRNG {
-		f.hostFlowSeq[src]++
-		return uint64(src+1)<<32 | f.hostFlowSeq[src]
-	}
+// newFlowID assigns the next fabric-wide flow ID.
+func (f *Fabric) newFlowID() uint64 {
 	f.nextFlowID++
 	return f.nextFlowID
 }
@@ -510,11 +460,7 @@ func (f *Fabric) Send(spec FlowSpec) *Flow {
 		// One transfer, one engine flow: skip SendBurst's result slice
 		// (the analytic fabric's arrival path is hot enough to care).
 		// The RNG draw sequence matches a one-spec burst exactly.
-		if s := f.shard; s != nil && s.plan.HostShard(spec.Src) != s.id {
-			panic(fmt.Sprintf("simnet: SendBurst from host %d (shard %d) on shard %d's replica",
-				spec.Src, s.plan.HostShard(spec.Src), s.id))
-		}
-		fl, _ := f.sendOneFlow(spec.Src, spec, f.jitterRNG(spec.Src), f.k.Now())
+		fl, _ := f.sendOneFlow(spec.Src, spec, f.k.Now())
 		return fl
 	}
 	return f.SendBurst(spec.Src, []FlowSpec{spec})[0]
@@ -529,15 +475,10 @@ func (f *Fabric) Send(spec FlowSpec) *Flow {
 // under FIFO contention the per-flow completion times spread across the
 // whole service window.
 func (f *Fabric) SendBurst(src int, specs []FlowSpec) []*Flow {
-	if s := f.shard; s != nil && s.plan.HostShard(src) != s.id {
-		panic(fmt.Sprintf("simnet: SendBurst from host %d (shard %d) on shard %d's replica",
-			src, s.plan.HostShard(src), s.id))
-	}
 	if f.cfg.Mode == ModeFlow {
 		return f.sendBurstFlow(src, specs)
 	}
 	now := f.k.Now()
-	rng := f.jitterRNG(src)
 	flows := make([]*Flow, len(specs))
 	chunkLists := make([][]*qdisc.Chunk, len(specs))
 	for i, spec := range specs {
@@ -548,8 +489,8 @@ func (f *Fabric) SendBurst(src int, specs []FlowSpec) []*Flow {
 			panic("simnet: flow bytes must be positive")
 		}
 		fl := f.newFlow()
-		fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(src), spec, now, -1, -1
-		fl.window = f.sampleWindow(rng)
+		fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
+		fl.window = f.sampleWindow()
 		flows[i] = fl
 		f.flows[fl.ID] = fl
 		chunks := f.makeChunks(fl)
@@ -573,7 +514,7 @@ func (f *Fabric) SendBurst(src int, specs []FlowSpec) []*Flow {
 		fl.pending = chunks[w:]
 	}
 	srcHost := f.Host(src)
-	for _, ch := range f.interleave(rng, chunkLists) {
+	for _, ch := range f.interleave(chunkLists) {
 		srcHost.Egress.enqueue(ch, now)
 	}
 	srcHost.Egress.kick()
@@ -581,8 +522,8 @@ func (f *Fabric) SendBurst(src int, specs []FlowSpec) []*Flow {
 }
 
 // sampleWindow draws a flow's socket window from the configured
-// distribution, using the given stream (the sender's under PerHostRNG).
-func (f *Fabric) sampleWindow(rng *sim.RNG) int {
+// distribution.
+func (f *Fabric) sampleWindow() int {
 	if len(f.cfg.WindowWeights) > 0 {
 		total := 0.0
 		for _, w := range f.cfg.WindowWeights {
@@ -591,7 +532,7 @@ func (f *Fabric) sampleWindow(rng *sim.RNG) int {
 			}
 		}
 		if total > 0 {
-			r := rng.Float64() * total
+			r := f.rng.Float64() * total
 			for i, w := range f.cfg.WindowWeights {
 				if w <= 0 {
 					continue
@@ -606,7 +547,7 @@ func (f *Fabric) sampleWindow(rng *sim.RNG) int {
 	}
 	w := f.cfg.MinWindowChunks
 	if span := f.cfg.MaxWindowChunks - f.cfg.MinWindowChunks; span > 0 {
-		w += rng.Intn(span + 1)
+		w += f.rng.Intn(span + 1)
 	}
 	return w
 }
@@ -637,7 +578,7 @@ func (f *Fabric) chunkDequeued(p *Port, ch *qdisc.Chunk) {
 // randomly drain earlier than others, so per-flow completion times
 // spread across the burst's service window. With jitter 0 the merge is
 // a deterministic round robin.
-func (f *Fabric) interleave(rng *sim.RNG, chunkLists [][]*qdisc.Chunk) []*qdisc.Chunk {
+func (f *Fabric) interleave(chunkLists [][]*qdisc.Chunk) []*qdisc.Chunk {
 	total := 0
 	maxChunks := 0
 	for _, cl := range chunkLists {
@@ -660,7 +601,7 @@ func (f *Fabric) interleave(rng *sim.RNG, chunkLists [][]*qdisc.Chunk) []*qdisc.
 	next := make([]int, len(chunkLists))
 	remaining := total
 	for remaining > 0 {
-		pick := rng.Intn(remaining)
+		pick := f.rng.Intn(remaining)
 		for i := range chunkLists {
 			left := len(chunkLists[i]) - next[i]
 			if pick < left {
@@ -707,15 +648,9 @@ func (f *Fabric) makeChunks(fl *Flow) []*qdisc.Chunk {
 func (f *Fabric) forwardFromEgress(c *qdisc.Chunk) {
 	fl := c.Payload.(*Flow)
 	if len(fl.route) == 0 {
-		if s := f.shard; s != nil && s.plan.HostShard(fl.Spec.Dst) != s.id {
-			s.handoffToHost(fl.Spec.Dst, c, f.cfg.PropDelaySec)
-			return
-		}
 		f.k.PostArgAfter(f.cfg.PropDelaySec, f.deliverIngressFn, c)
 		return
 	}
-	// The first core link of any route is the source rack's uplink,
-	// which the source's own shard owns — never a cross-shard hop.
 	c.Hop = 0
 	f.k.PostArgAfter(f.cfg.Topology.HopDelaySec, f.injectRouteFn, c)
 }
@@ -727,18 +662,7 @@ func (f *Fabric) forwardFromLink(c *qdisc.Chunk) {
 	c.Hop++
 	hop := f.cfg.Topology.HopDelaySec
 	if c.Hop < len(fl.route) {
-		next := fl.route[c.Hop]
-		if s := f.shard; s != nil {
-			if owner := s.plan.LinkShard(next); owner != s.id {
-				s.handoffToLink(owner, next.ID, c, hop)
-				return
-			}
-		}
 		f.k.PostArgAfter(hop, f.injectRouteFn, c)
-		return
-	}
-	if s := f.shard; s != nil && s.plan.HostShard(fl.Spec.Dst) != s.id {
-		s.handoffToHost(fl.Spec.Dst, c, hop)
 		return
 	}
 	f.k.PostArgAfter(hop, f.deliverIngressFn, c)
@@ -766,14 +690,6 @@ func (f *Fabric) chunkDelivered(ch *qdisc.Chunk) {
 		}
 		fl.Finished = f.k.Now()
 		delete(f.flows, fl.ID)
-		if s := f.shard; s != nil {
-			// A cross-shard flow is registered on its source shard's
-			// replica; tell it to retire the entry (bookkeeping only —
-			// nothing reads the map between now and delivery).
-			if src := s.plan.HostShard(fl.Spec.Src); src != s.id {
-				s.retireFlow(src, fl.ID)
-			}
-		}
 		f.completed++
 		if f.Tracer != nil {
 			f.Tracer.Emit(trace.Event{
@@ -786,9 +702,7 @@ func (f *Fabric) chunkDelivered(ch *qdisc.Chunk) {
 		if fl.Spec.OnComplete != nil {
 			fl.Spec.OnComplete(fl)
 		}
-		// Cross-shard flows stay with the GC: the source shard's replica
-		// may still hold the pointer until its retirement message drains.
-		if fl.Spec.Transient && f.shard == nil {
+		if fl.Spec.Transient {
 			f.releaseFlow(fl)
 		}
 	}

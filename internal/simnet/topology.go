@@ -169,16 +169,8 @@ type Link struct {
 	// Name is a human-readable identity ("leaf0->spine1" /
 	// "spine1->leaf2").
 	Name string
-	// rack is the rack whose traffic the link carries exclusively: the
-	// source rack for an uplink, the destination rack for a downlink.
-	// Shard assignment keys on it — a link belongs to its rack's shard.
-	rack int
 	port *Port
 }
-
-// Rack returns the rack the link serves (uplink source / downlink
-// destination rack).
-func (l *Link) Rack() int { return l.rack }
 
 // Port returns the link's rate-limited server. SetDown, SetRateFactor
 // and Qdisc stats all behave exactly as on a host NIC port.
@@ -242,8 +234,8 @@ func newLeafSpine(f *Fabric, cfg TopologyConfig) *leafSpine {
 	// core bandwidth: hostBW / (uplinks * oversubscription).
 	rackHostBytes := float64(t.hostsPerRack) * f.cfg.LinkRateBps / 8
 	linkRate := rackHostBytes / (float64(cfg.UplinksPerLeaf) * cfg.Oversubscription)
-	mk := func(name string, rack int) *Link {
-		l := &Link{ID: len(t.links), Name: name, rack: rack}
+	mk := func(name string) *Link {
+		l := &Link{ID: len(t.links), Name: name}
 		l.port = newLinkPort(f, l, linkRate, qdisc.NewPFIFO(0))
 		t.links = append(t.links, l)
 		return l
@@ -254,8 +246,8 @@ func newLeafSpine(f *Fabric, cfg TopologyConfig) *leafSpine {
 		t.up[r] = make([]*Link, cfg.UplinksPerLeaf)
 		t.down[r] = make([]*Link, cfg.UplinksPerLeaf)
 		for s := 0; s < cfg.UplinksPerLeaf; s++ {
-			t.up[r][s] = mk(fmt.Sprintf("leaf%d->spine%d", r, s), r)
-			t.down[r][s] = mk(fmt.Sprintf("spine%d->leaf%d", s, r), r)
+			t.up[r][s] = mk(fmt.Sprintf("leaf%d->spine%d", r, s))
+			t.down[r][s] = mk(fmt.Sprintf("spine%d->leaf%d", s, r))
 		}
 	}
 	return t

@@ -66,13 +66,6 @@ type BenchReport struct {
 	FabricChunks     uint64  `json:"fabric_chunks"`
 	FabricNsPerChunk float64 `json:"fabric_ns_per_chunk"`
 
-	// ShardScale is the sharded-engine scaling curve: one fixed
-	// leaf-spine workload run under RunSharded at 1, 2 and 4 shards with
-	// GOMAXPROCS pinned to the shard count. On a single-core machine the
-	// curve is flat (windows serialize); it is recorded anyway so the
-	// history shows when parallel hardware first pays off.
-	ShardScale []ShardScalePoint `json:"shard_scale,omitempty"`
-
 	// FlowVsChunk compares the analytic flow-level fabric
 	// (internal/flownet, -fabric flow) against the per-chunk fabric on
 	// fixed scenarios: a 12-host scheduler-sweep cell and the
@@ -95,16 +88,6 @@ type OpenWorldBenchPoint struct {
 	AvgJCT   float64 `json:"avg_jct_s"`
 	// EventsPerSec is the kernel throughput on this trial.
 	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// ShardScalePoint is one sharded-engine measurement.
-type ShardScalePoint struct {
-	Shards  int     `json:"shards"`
-	Procs   int     `json:"procs"` // GOMAXPROCS during the run
-	WallSec float64 `json:"wall_sec"`
-	Events  uint64  `json:"events"`
-	// Speedup is the 1-shard wall clock divided by this point's.
-	Speedup float64 `json:"speedup"`
 }
 
 // FlowVsChunkPoint is one chunk-vs-flow fabric comparison: the same
@@ -186,15 +169,16 @@ func measureFabricBench(seed int64) (chunks uint64, nsPerChunk float64) {
 	return chunks, best * 1e9 / float64(chunks)
 }
 
-// flowVsChunk10kRun is the large-topology comparison workload: the
-// 10,240-host leaf-spine shape from the sharded goldens (256 racks x 40
-// hosts, 16 PS jobs), with ResNet-50 updates — a ~100 MB model, the
-// traffic-heavy regime the analytic fabric exists for — and few steps
-// so the chunk baseline stays affordable inside a bench run. Both
-// fabric modes run it on a single kernel (the analytic engine cannot
-// shard), so the chunk leg prices exactly what flow mode replaces.
+// flowVsChunk10kRun is the large-topology comparison workload: a
+// 10,240-host leaf-spine fabric (256 racks x 40 hosts, 16 PS jobs),
+// with ResNet-50 updates — a ~100 MB model, the traffic-heavy regime
+// the analytic fabric exists for — and few steps so the chunk baseline
+// stays affordable inside a bench run. Both fabric modes run the same
+// pinned spec set: job j owns the 640 hosts [640j, 640j+640) (16 whole
+// racks), with its PS on the first and one worker on each of the other
+// 639, so every entry in the history measures the identical workload.
 func flowVsChunk10kRun(seed int64) RunConfig {
-	return RunConfig{
+	rc := RunConfig{
 		Label: "bench-flow-10k",
 		Cluster: cluster.Config{
 			Hosts: 10_240,
@@ -214,6 +198,26 @@ func flowVsChunk10kRun(seed int64) RunConfig {
 		TLs:         core.Config{Policy: core.PolicyOne},
 		StaggerSec:  0.02,
 	}
+	hostsPerJob := rc.Cluster.Hosts / rc.NumJobs
+	for j := 0; j < rc.NumJobs; j++ {
+		ps := j * hostsPerJob
+		workers := make([]int, 0, hostsPerJob-1)
+		for h := ps + 1; h < ps+hostsPerJob; h++ {
+			workers = append(workers, h)
+		}
+		rc.PSSpecs = append(rc.PSSpecs, dl.JobSpec{
+			ID:                j,
+			Name:              fmt.Sprintf("grid-%02d", j),
+			Model:             rc.Model,
+			NumWorkers:        len(workers),
+			LocalBatch:        rc.LocalBatch,
+			TargetGlobalSteps: rc.TargetSteps,
+			PSHost:            ps,
+			PSPort:            5000 + j,
+			WorkerHosts:       workers,
+		})
+	}
+	return rc
 }
 
 // measureFlowVsChunk times the chunk and flow fabrics on two fixed
@@ -224,19 +228,7 @@ func flowVsChunk10kRun(seed int64) RunConfig {
 func measureFlowVsChunk(seed int64) ([]FlowVsChunkPoint, error) {
 	sched := FlowVsChunkPoint{Scenario: "sched-cell-12h"}
 	large := FlowVsChunkPoint{Scenario: "leafspine-10240h"}
-	// Pin the 10k workload to the sharded goldens' shard-stable job
-	// placement so both modes (and future history entries) run the
-	// identical spec set.
 	base := flowVsChunk10kRun(seed)
-	ccfg := base.Cluster.Normalized()
-	plan, err := simnet.PlanShards(ccfg.Net, ccfg.Hosts, 16)
-	if err != nil {
-		return nil, fmt.Errorf("10k topology plan: %w", err)
-	}
-	if base.PSSpecs, err = cluster.ShardStableSpecs(ccfg, plan, base.Model,
-		base.NumJobs, base.LocalBatch, base.TargetSteps); err != nil {
-		return nil, fmt.Errorf("10k topology specs: %w", err)
-	}
 	// The scheduler cell runs in tens of milliseconds under flow mode,
 	// so one sample is noise-bound, and on a shared box the noise comes
 	// in multi-second epochs — timing all of one mode's reps and then
@@ -345,9 +337,6 @@ func MeasureSweepBench(cfg BenchConfig) (*BenchReport, error) {
 		rep.AllocsPerEvent = float64(eventAllocs) / float64(events)
 	}
 	rep.FabricChunks, rep.FabricNsPerChunk = measureFabricBench(cfg.Seed)
-	if rep.ShardScale, err = measureShardScale(cfg.Seed, cfg.Steps); err != nil {
-		return nil, fmt.Errorf("sweep: bench shard-scale leg: %w", err)
-	}
 	if rep.FlowVsChunk, err = measureFlowVsChunk(cfg.Seed); err != nil {
 		return nil, fmt.Errorf("sweep: bench flow-vs-chunk leg: %w", err)
 	}
@@ -387,61 +376,6 @@ func measureOpenWorld(seed int64) ([]OpenWorldBenchPoint, error) {
 		p.EventsPerSec = float64(p.Events) / p.WallSec
 	}
 	return []OpenWorldBenchPoint{p}, nil
-}
-
-// shardScaleRun is the fixed workload the scaling curve measures: a
-// 16-rack, 64-host leaf-spine cluster with one PS job per rack cell, so
-// it partitions cleanly into 1, 2 and 4 shards.
-func shardScaleRun(seed int64, steps int) RunConfig {
-	return RunConfig{
-		Label: "bench-shard-scale",
-		Cluster: cluster.Config{
-			Hosts: 64,
-			Seed:  seed,
-			Net: simnet.Config{
-				Topology: simnet.TopologyConfig{
-					Kind:           simnet.TopologyLeafSpine,
-					Racks:          16,
-					UplinksPerLeaf: 2,
-				},
-			},
-		},
-		NumJobs:     16,
-		LocalBatch:  4,
-		TargetSteps: steps,
-		TLs:         core.Config{Policy: core.PolicyOne},
-		StaggerSec:  0.05,
-	}
-}
-
-// measureShardScale times shardScaleRun under the sharded engine at 1,
-// 2 and 4 shards, pinning GOMAXPROCS to the shard count for the run so
-// the curve reflects what the partitioning buys at matching core
-// counts. The workload (and so every point's result) is byte-identical
-// across the shard counts; only the wall clock may differ.
-func measureShardScale(seed int64, steps int) ([]ShardScalePoint, error) {
-	rc := shardScaleRun(seed, steps)
-	var points []ShardScalePoint
-	var base float64
-	for _, n := range []int{1, 2, 4} {
-		old := runtime.GOMAXPROCS(n)
-		start := time.Now()
-		res, err := RunSharded(rc, ShardOptions{Shards: n, PlacementShards: 16, Parallel: n > 1})
-		wall := time.Since(start).Seconds()
-		runtime.GOMAXPROCS(old)
-		if err != nil {
-			return nil, err
-		}
-		p := ShardScalePoint{Shards: n, Procs: n, WallSec: wall, Events: res.Events}
-		if n == 1 {
-			base = wall
-		}
-		if wall > 0 && base > 0 {
-			p.Speedup = base / wall
-		}
-		points = append(points, p)
-	}
-	return points, nil
 }
 
 // WriteJSON writes the report as indented JSON.

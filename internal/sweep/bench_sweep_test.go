@@ -1,11 +1,16 @@
 package sweep
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dl"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -102,20 +107,62 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedTrial measures one sharded-engine trial (the
-// shard-scale workload at 4 parallel shards) and reports kernel
-// events/sec across all shards — the microbench counterpart of the
-// shard_scale entries in BENCH_sweep.json.
-func BenchmarkShardedTrial(b *testing.B) {
-	rc := shardScaleRun(1, 100)
-	b.ReportAllocs()
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := RunSharded(rc, ShardOptions{Shards: 4, PlacementShards: 16, Parallel: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
+// TestFlowVsChunk10kSpecs pins the 10,240-host comparison workload's
+// job set: job j runs its PS on host 640j and one worker on each of
+// the 639 hosts after it, so every job stays inside its own 16 racks.
+func TestFlowVsChunk10kSpecs(t *testing.T) {
+	rc := flowVsChunk10kRun(1)
+	if len(rc.PSSpecs) != 16 {
+		t.Fatalf("got %d specs, want 16", len(rc.PSSpecs))
 	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	for j, s := range rc.PSSpecs {
+		want := dl.JobSpec{
+			ID:                j,
+			Name:              fmt.Sprintf("grid-%02d", j),
+			Model:             dl.ResNet50,
+			NumWorkers:        639,
+			LocalBatch:        4,
+			TargetGlobalSteps: 10,
+			PSHost:            640 * j,
+			PSPort:            5000 + j,
+		}
+		for h := 640*j + 1; h < 640*(j+1); h++ {
+			want.WorkerHosts = append(want.WorkerHosts, h)
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("job %d: got PS %d port %d name %q, %d workers [%d..%d]; want PS %d, hosts [%d, %d)",
+				j, s.PSHost, s.PSPort, s.Name, len(s.WorkerHosts),
+				s.WorkerHosts[0], s.WorkerHosts[len(s.WorkerHosts)-1], 640*j, 640*j, 640*(j+1))
+		}
+	}
+}
+
+// TestCommittedBenchHistoryLoads: the committed BENCH_sweep.json still
+// loads, including the runs that carry fields no BenchReport field
+// decodes any more, and the regression gate over it is unchanged.
+func TestCommittedBenchHistoryLoads(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := LoadBenchHistory(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Runs) != 6 {
+		t.Fatalf("loaded %d runs, want 6", len(h.Runs))
+	}
+	for i, r := range h.Runs {
+		if r.Report == nil || r.Report.Events == 0 || r.Report.NsPerEvent <= 0 {
+			t.Fatalf("run %d lost its report: %+v", i, r.Report)
+		}
+	}
+	last := h.Last().Report
+	if len(last.FlowVsChunk) != 2 || len(last.OpenWorld) != 1 {
+		t.Fatalf("newest run lost its legs: %d flow-vs-chunk, %d open-world",
+			len(last.FlowVsChunk), len(last.OpenWorld))
+	}
+	if regs := h.Regressions(0.25); len(regs) != 0 {
+		t.Fatalf("committed history flags regressions: %v", regs)
+	}
 }

@@ -15,8 +15,8 @@ import (
 
 // Chunk-vs-flow equivalence harness: the analytic flow fabric
 // (internal/flownet) must reproduce the chunk fabric's per-job
-// completion times within a pinned tolerance on every golden config
-// shape — flat and leaf-spine, PS and collective, fault-free and
+// completion times within a pinned tolerance on every config shape
+// below — flat and leaf-spine, PS and collective, fault-free and
 // faulted — while firing far fewer events. DESIGN.md §13 documents the
 // model and where the tolerance comes from:
 //
@@ -188,7 +188,7 @@ func TestFlowEquivLeafSpine(t *testing.T) {
 }
 
 // TestFlowEquivCollective: mixed PS + ring all-reduce jobs sharing a
-// leaf-spine fabric (the sharded golden's shape on one kernel).
+// leaf-spine fabric, one ring per rack.
 func TestFlowEquivCollective(t *testing.T) {
 	rings := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
 	rc := RunConfig{

@@ -58,9 +58,8 @@ type RunConfig struct {
 	CollectiveSpecs []collective.JobSpec
 	// PSSpecs, when non-empty, replaces the generated grid-search
 	// workload with these exact PS job specs; NumJobs and Placement are
-	// then ignored. RunSharded uses it to pin a shard-stable workload,
-	// and callers can replay that exact workload on the single-kernel
-	// path for cross-checking.
+	// then ignored. Benchmarks and the flow-equivalence suite use it to
+	// pin an exact job placement.
 	PSSpecs []dl.JobSpec
 }
 

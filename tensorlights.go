@@ -152,7 +152,7 @@ type ExperimentConfig struct {
 	// (internal/flownet) — max-min fair bandwidth sharing under the
 	// TensorLights priority bands, typically 10-100x fewer events with
 	// matching per-job completion times on uncontended paths (DESIGN.md
-	// §13). Incompatible with Sharded.
+	// §13).
 	FabricMode string
 	// Racks partitions the hosts into racks on the leafspine topology
 	// (default 3 — the 21-host testbed divides into 3 racks of 7).
@@ -199,43 +199,8 @@ type ExperimentConfig struct {
 	// on an oversubscribed leaf-spine fabric, optionally over
 	// heterogeneous hosts. The placement-related fields above are
 	// ignored — the scheduler tier owns placement. Incompatible with
-	// Scheduler and Sharded.
+	// Scheduler.
 	OpenWorld *OpenWorldConfig
-	// Sharded, when non-nil, executes the run on the sharded engine:
-	// the hosts are partitioned into Shards event kernels advancing in
-	// conservative lockstep windows (see DESIGN.md §12), and the
-	// workload is the shard-stable cell-confined grid (each job's PS
-	// and workers live inside one placement cell) instead of the
-	// Table I placement — PlacementIndex/Placement are ignored. The
-	// results are byte-identical at every shard count; only wall clock
-	// differs. Incompatible with Scheduler, MeasureUtilization and the
-	// feedback-driven adaptive policies.
-	Sharded *ShardedConfig
-}
-
-// ShardedConfig selects the sharded engine for an experiment.
-type ShardedConfig struct {
-	// Shards is the number of event-kernel partitions (default 2).
-	Shards int
-	// Cells is the number of placement cells jobs are confined to
-	// (default Shards). Cells must split into whole shards, so a fixed
-	// Cells lets the same workload run under several shard counts.
-	Cells int
-	// Sequential forces shard windows onto one goroutine (for
-	// debugging); by default windows execute in parallel.
-	Sequential bool
-}
-
-func (s *ShardedConfig) options() sweep.ShardOptions {
-	opt := sweep.ShardOptions{
-		Shards:          s.Shards,
-		PlacementShards: s.Cells,
-		Parallel:        !s.Sequential,
-	}
-	if opt.Shards == 0 {
-		opt.Shards = 2
-	}
-	return opt
 }
 
 // SchedulerConfig describes the online cluster-scheduler experiment.
@@ -450,18 +415,12 @@ func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*Result, e
 			cfg.FabricMode, simnet.ModeChunk, simnet.ModeFlow)
 	}
 	if cfg.Scheduler != nil {
-		if cfg.Sharded != nil {
-			return nil, fmt.Errorf("tensorlights: Sharded is incompatible with Scheduler (the scheduler trial owns its own kernel)")
-		}
 		if cfg.OpenWorld != nil {
 			return nil, fmt.Errorf("tensorlights: OpenWorld is incompatible with Scheduler (set exactly one)")
 		}
 		return runSchedulerExperiment(ctx, cfg)
 	}
 	if cfg.OpenWorld != nil {
-		if cfg.Sharded != nil {
-			return nil, fmt.Errorf("tensorlights: Sharded is incompatible with OpenWorld (the open-world trial owns its own kernel)")
-		}
 		return runOpenWorldExperiment(ctx, cfg)
 	}
 	rc, err := toRunConfig(cfg)
@@ -473,19 +432,7 @@ func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*Result, e
 		buf = &trace.Buffer{}
 		rc.Tracer = buf
 	}
-	var res *sweep.RunResult
-	if cfg.Sharded != nil {
-		if cfg.FabricMode == simnet.ModeFlow {
-			return nil, fmt.Errorf("tensorlights: FabricMode %q is incompatible with Sharded (the analytic engine recomputes global rates on one kernel)", cfg.FabricMode)
-		}
-		// The sharded engine runs bounded windows to completion; it has
-		// no between-event cancellation hook, so ctx only gates entry.
-		if err = ctx.Err(); err == nil {
-			res, err = sweep.RunSharded(rc, cfg.Sharded.options())
-		}
-	} else {
-		res, err = sweep.RunContext(ctx, rc)
-	}
+	res, err := sweep.RunContext(ctx, rc)
 	if err != nil {
 		if buf != nil && ctx.Err() != nil {
 			// Best effort: the run was cancelled, not broken — dump what
