@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -200,7 +201,9 @@ func TestLaunchStaggering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.RunToCompletion(jobs, 0)
+	if err := tb.RunMixedToCompletionCtx(context.Background(), jobs, nil, 0); err != nil {
+		t.Fatal(err)
+	}
 	if len(starts) != 2 || starts[0] != 0 || starts[1] != 0.5 {
 		t.Fatalf("stagger times %v", starts)
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/collective"
@@ -94,51 +95,13 @@ func (tb *Testbed) LaunchCollective(specs []collective.JobSpec, staggerSec float
 	return jobs, nil
 }
 
-// RunMixedToCompletion drives the kernel until every PS job and every
-// collective job finishes or fails. maxEvents guards against runaway
-// simulations (0 = default guard).
-func (tb *Testbed) RunMixedToCompletion(jobs []*dl.Job, cjobs []*collective.Job, maxEvents uint64) {
-	_ = tb.RunMixedToCompletionCtx(context.Background(), jobs, cjobs, maxEvents)
-}
-
-// ctxCheckEvery is how many kernel events fire between context polls in
-// RunMixedToCompletionCtx. Polling a context is a synchronized channel
-// peek; amortizing it keeps the ~ns/event hot loop unaffected while
-// still bounding cancellation latency to a few thousand events.
-const ctxCheckEvery = 4096
-
-// RunMixedToCompletionCtx is RunMixedToCompletion with cancellation:
-// when ctx is cancelled the kernel stops between events (the simulation
-// state stays consistent — no event is half-fired) and the context's
-// error is returned. A nil or never-cancelled ctx reproduces
-// RunMixedToCompletion exactly, event for event.
+// RunMixedToCompletionCtx drives the kernel via RunUntil until every PS
+// job and every collective job finishes or fails (a job that lost all
+// its workers never reaches Done). It returns ctx's error on
+// cancellation, and the event-budget error, with the count of
+// unfinished jobs, when maxEvents (0 = 500M) runs out first.
 func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, cjobs []*collective.Job, maxEvents uint64) error {
-	if maxEvents == 0 {
-		maxEvents = 500_000_000
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tb.K.MaxEvents = maxEvents
-	done := ctx.Done()
-	cancelled := done != nil && ctx.Err() != nil
-	var sinceCheck int
-	tb.K.Run(func() bool {
-		if cancelled {
-			return true
-		}
-		if done != nil {
-			sinceCheck++
-			if sinceCheck >= ctxCheckEvery {
-				sinceCheck = 0
-				select {
-				case <-done:
-					cancelled = true
-					return true
-				default:
-				}
-			}
-		}
+	allDone := func() bool {
 		for _, j := range jobs {
 			if !j.Done() && !j.Failed() {
 				return false
@@ -150,9 +113,21 @@ func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, 
 			}
 		}
 		return true
-	})
-	if cancelled {
-		return ctx.Err()
 	}
-	return nil
+	err := tb.RunUntil(ctx, maxEvents, allDone)
+	if errors.Is(err, ErrEventBudget) {
+		unfinished := 0
+		for _, j := range jobs {
+			if !j.Done() && !j.Failed() {
+				unfinished++
+			}
+		}
+		for _, j := range cjobs {
+			if !j.Done() && !j.Failed() {
+				unfinished++
+			}
+		}
+		return fmt.Errorf("%w; %d of %d jobs unfinished", err, unfinished, len(jobs)+len(cjobs))
+	}
+	return err
 }

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/collective"
@@ -61,7 +64,9 @@ func TestCollectiveSpecsAndLaunch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.RunMixedToCompletion(nil, jobs, 0)
+	if err := tb.RunMixedToCompletionCtx(context.Background(), nil, jobs, 0); err != nil {
+		t.Fatal(err)
+	}
 	if len(started) != 2 {
 		t.Fatalf("onStart fired %d times", len(started))
 	}
@@ -107,7 +112,9 @@ func TestMixedClusterCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.RunMixedToCompletion(psJobs, cJobs, 0)
+	if err := tb.RunMixedToCompletionCtx(context.Background(), psJobs, cJobs, 0); err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range psJobs {
 		if !j.Done() {
 			t.Fatalf("PS job %d unfinished", j.Spec.ID)
@@ -115,5 +122,32 @@ func TestMixedClusterCompletes(t *testing.T) {
 	}
 	if !cJobs[0].Done() {
 		t.Fatal("collective job unfinished")
+	}
+}
+
+// TestRunMixedToCompletionEventBudget pins that running out of events
+// is an error naming the budget, the events fired and the unfinished
+// jobs, not a panic inside the kernel.
+func TestRunMixedToCompletionEventBudget(t *testing.T) {
+	tb := NewTestbed(Config{Hosts: 4, Seed: 1})
+	specs, err := GridSearchSpecs(tb.Cfg, dl.ResNet32, 2, 4, 30, Placement{Groups: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := tb.Launch(specs, 0.1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tb.RunMixedToCompletionCtx(context.Background(), jobs, nil, 10)
+	if !errors.Is(err, ErrEventBudget) {
+		t.Fatalf("want the event-budget error, got %v", err)
+	}
+	if got := tb.K.Fired(); got != 10 {
+		t.Fatalf("fired %d events, want exactly the budget of 10", got)
+	}
+	for _, want := range []string{"budget 10", "10 events fired", "2 of 2 jobs unfinished"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/cpusim"
@@ -132,9 +134,70 @@ func (tb *Testbed) Launch(specs []dl.JobSpec, staggerSec float64, onStart func(*
 	return jobs, nil
 }
 
-// RunToCompletion drives the kernel until every job finishes or fails
-// (a job that lost all its workers never reaches Done). maxEvents
-// guards against runaway simulations (0 = default guard).
-func (tb *Testbed) RunToCompletion(jobs []*dl.Job, maxEvents uint64) {
-	tb.RunMixedToCompletion(jobs, nil, maxEvents)
+// defaultEventBudget is the event budget RunUntil applies when the
+// caller passes 0: far beyond any experiment in this repository, so
+// hitting it means a runaway simulation.
+const defaultEventBudget = 500_000_000
+
+// ErrEventBudget is wrapped by RunUntil's error when the event budget
+// runs out before the run is done.
+var ErrEventBudget = errors.New("event budget exhausted")
+
+// ctxCheckEvery is how many kernel events fire between context polls in
+// RunUntil. Polling a context is a synchronized channel peek; amortizing
+// it keeps the ~ns/event hot loop unaffected while still bounding
+// cancellation latency to a few thousand events.
+const ctxCheckEvery = 4096
+
+// RunUntil drives the kernel until finished reports true, ctx is
+// cancelled, or maxEvents events have fired (0 = 500M). finished is
+// checked before every event. Cancellation stops the kernel between
+// events (no event is half-fired) and returns ctx's error; running out
+// of budget returns an error wrapping ErrEventBudget that names the
+// budget and the events fired. A never-cancelled ctx fires exactly the
+// events an uncancellable run would.
+func (tb *Testbed) RunUntil(ctx context.Context, maxEvents uint64, finished func() bool) error {
+	if maxEvents == 0 {
+		maxEvents = defaultEventBudget
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	done := ctx.Done()
+	if done != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	var cancelled, exhausted bool
+	var sinceCheck int
+	start := tb.K.Fired()
+	tb.K.Run(func() bool {
+		if done != nil {
+			sinceCheck++
+			if sinceCheck >= ctxCheckEvery {
+				sinceCheck = 0
+				select {
+				case <-done:
+					cancelled = true
+					return true
+				default:
+				}
+			}
+		}
+		if finished() {
+			return true
+		}
+		if tb.K.Fired()-start >= maxEvents {
+			exhausted = true
+			return true
+		}
+		return false
+	})
+	switch {
+	case cancelled:
+		return ctx.Err()
+	case exhausted:
+		return fmt.Errorf("cluster: %w: budget %d, %d events fired",
+			ErrEventBudget, maxEvents, tb.K.Fired()-start)
+	}
+	return nil
 }

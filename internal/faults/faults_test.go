@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,13 +57,21 @@ func launch(t *testing.T, tb *cluster.Testbed, specs []dl.JobSpec, ctl *core.Con
 	return jobs
 }
 
+// runToCompletion drives the testbed until every job finishes or fails.
+func runToCompletion(t *testing.T, tb *cluster.Testbed, jobs []*dl.Job) {
+	t.Helper()
+	if err := tb.RunMixedToCompletionCtx(context.Background(), jobs, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // soloJCT measures the fault-free JCT of one job so fault windows below
 // can be placed mid-run.
 func soloJCT(t *testing.T, steps int) float64 {
 	t.Helper()
 	tb := testbed(7)
 	jobs := launch(t, tb, []dl.JobSpec{jobSpec(0, steps)}, nil)
-	tb.RunToCompletion(jobs, 0)
+	runToCompletion(t, tb, jobs)
 	if !jobs[0].Done() {
 		t.Fatal("reference job did not finish")
 	}
@@ -78,7 +87,7 @@ func TestLinkFlapDelaysButCompletes(t *testing.T) {
 	inj.Tracer = buf
 	// Take the PS host's NIC down mid-run for a quarter of the run.
 	inj.LinkFlap(0, 0.3*ref, 0.25*ref)
-	tb.RunToCompletion(jobs, 0)
+	runToCompletion(t, tb, jobs)
 	if !jobs[0].Done() {
 		t.Fatal("job did not survive the link flap")
 	}
@@ -113,7 +122,7 @@ func TestDropWindowRetransmitsAndCompletes(t *testing.T) {
 	// Lossy for the first half of the fault-free JCT; the job outlives
 	// the window, so its end event fires before the run stops.
 	inj.DropWindow(0, 0, 0.5*ref, 0.2)
-	tb.RunToCompletion(jobs, 0)
+	runToCompletion(t, tb, jobs)
 	if !jobs[0].Done() {
 		t.Fatal("job did not survive chunk loss")
 	}
@@ -179,7 +188,7 @@ func TestCrashPlanRestartsWorker(t *testing.T) {
 	if err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil); err != nil {
 		t.Fatal(err)
 	}
-	tb.RunToCompletion(jobs, 0)
+	runToCompletion(t, tb, jobs)
 	if !jobs[0].Done() {
 		t.Fatal("job did not recover from the worker crash")
 	}
@@ -244,7 +253,7 @@ func TestTCOutageFallsBackThenReconcileRestores(t *testing.T) {
 			t.Errorf("host still in fallback after outage cleared")
 		}
 	})
-	tb.RunToCompletion(jobs, 0)
+	runToCompletion(t, tb, jobs)
 	for _, j := range jobs {
 		if !j.Done() {
 			t.Fatalf("job %d did not finish", j.Spec.ID)
@@ -283,7 +292,7 @@ func fullScenario(t *testing.T) string {
 	if err := inj.Apply(plan, []int{0, 0}, map[int]*dl.Job{0: jobs[0], 1: jobs[1]}, nil); err != nil {
 		t.Fatal(err)
 	}
-	tb.RunToCompletion(jobs, 0)
+	runToCompletion(t, tb, jobs)
 	for _, j := range jobs {
 		if !j.Done() {
 			t.Fatalf("job %d did not survive the combined fault scenario", j.Spec.ID)
@@ -388,7 +397,7 @@ func TestCoreLinkFlapDelaysCrossRackJob(t *testing.T) {
 		if err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil); err != nil {
 			t.Fatal(err)
 		}
-		tb.RunToCompletion(jobs, 0)
+		runToCompletion(t, tb, jobs)
 		if !jobs[0].Done() {
 			t.Fatal("job did not finish")
 		}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cluster"
@@ -93,7 +94,9 @@ func Churn(o ChurnOptions) (*ChurnResult, error) {
 			})
 		})
 	}
-	tb.RunToCompletion(jobs, 0)
+	if err := tb.RunMixedToCompletionCtx(context.Background(), jobs, nil, 0); err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
+	}
 
 	res := &ChurnResult{
 		Reconfigs:      ctl.Reconfigs(),

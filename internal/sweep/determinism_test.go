@@ -2,7 +2,11 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -32,7 +36,9 @@ func runBoth(t *testing.T, name string, run func(Options) (csvResult, error)) (s
 // TestSweepsDeterministicSequentialVsParallel asserts the acceptance
 // contract of the parallel Engine: for every sweep, the same seed
 // yields byte-identical CSV output whether trials run sequentially or
-// across the worker pool.
+// across the worker pool. Where testdata/golden_<name>.csv exists, the
+// sequential CSV must also match it byte for byte, so a change that
+// shifts both legs the same way is still caught.
 func TestSweepsDeterministicSequentialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sweep twice")
@@ -61,6 +67,11 @@ func TestSweepsDeterministicSequentialVsParallel(t *testing.T) {
 				t.Fatalf("%s CSV differs between sequential and parallel runs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
 					s.name, seq, par)
 			}
+			golden := "golden_" + s.name + ".csv"
+			if _, err := os.Stat(filepath.Join("testdata", golden)); errors.Is(err, fs.ErrNotExist) {
+				return
+			}
+			compareGolden(t, golden, seq)
 		})
 	}
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/scheduler"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -82,9 +84,6 @@ func (c *OpenWorldTrialConfig) fillDefaults() {
 	if c.Steps <= 0 {
 		c.Steps = 30_000
 	}
-	if c.Arrivals == "" {
-		c.Arrivals = "poisson"
-	}
 	if c.Oversub <= 0 {
 		c.Oversub = 2
 	}
@@ -102,9 +101,9 @@ func (c *OpenWorldTrialConfig) fillDefaults() {
 	}
 }
 
-// OpenWorldTrialResult aggregates one open-world run. JCTs are
-// measured from arrival to finish, so scheduler start shifts pay their
-// own delay.
+// OpenWorldTrialResult aggregates one online run (open-world or
+// scheduler trial). JCTs are measured from arrival to finish, so
+// scheduler start shifts pay their own delay.
 type OpenWorldTrialResult struct {
 	JCTs           []float64 // per arrival, in arrival order
 	AvgJCT         float64
@@ -153,6 +152,24 @@ func openWorldProcess(cfg OpenWorldTrialConfig, iters int) (workload.OpenConfig,
 // collective.Job), running under the configured end-host TensorLights
 // policy until every job finishes.
 func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTrialResult, error) {
+	return runOnline(ctx, cfg, func(rng *sim.RNG, iters int) ([]workload.OpenArrival, error) {
+		openCfg, err := openWorldProcess(cfg, iters)
+		if err != nil {
+			return nil, err
+		}
+		return workload.GenerateOpen(openCfg, rng)
+	})
+}
+
+// runOnline is the online trial runner under OpenWorldTrial and
+// SchedulerTrial. It builds the leaf-spine testbed, the TensorLights
+// controller, a feedback collector and the cluster-scheduler tier, then
+// takes its arrivals from the arrivals front end, which draws them from
+// the testbed RNG given the per-job iteration count. At each arrival it
+// places the job, lowers it onto its runtime and wires it into the
+// controller and the collector; the run ends when every job finishes.
+func runOnline(ctx context.Context, cfg OpenWorldTrialConfig,
+	arrivals func(rng *sim.RNG, iters int) ([]workload.OpenArrival, error)) (*OpenWorldTrialResult, error) {
 	cfg.fillDefaults()
 	iters := cfg.Steps / 30
 	if iters < 2 {
@@ -179,6 +196,9 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 		return nil, err
 	}
 	ctl := core.New(tb.K, tb.TC, tb.RNG, tls)
+	// The trial always runs a Feedback collector: the phase-aware
+	// scheduler consumes its period EWMA even under end-host policies
+	// that do not need telemetry themselves.
 	fb := policy.NewFeedback(tb.K, policy.FeedbackConfig{
 		SampleIntervalSec: tls.FeedbackIntervalSec,
 	})
@@ -203,17 +223,12 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 	if err != nil {
 		return nil, err
 	}
-
-	openCfg, err := openWorldProcess(cfg, iters)
-	if err != nil {
-		return nil, err
-	}
-	arrivals, err := workload.GenerateOpen(openCfg, tb.RNG)
+	arrs, err := arrivals(tb.RNG, iters)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &OpenWorldTrialResult{JCTs: make([]float64, len(arrivals))}
+	res := &OpenWorldTrialResult{JCTs: make([]float64, len(arrs))}
 	finished := 0
 	var trialErr error
 	fail := func(err error) {
@@ -221,22 +236,37 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 			trialErr = err
 		}
 	}
-	for i, arr := range arrivals {
-		i, arr := i, arr
+	for i, arr := range arrs {
 		tb.K.Post(arr.At, func() {
 			now := tb.K.Now()
 			spec := arr.Spec
 			id := spec.RuntimeID()
 			dec, err := sched.Place(spec.SchedReq(), now)
 			if err != nil {
-				fail(fmt.Errorf("sweep: open-world placement of job %d: %w", id, err))
+				fail(fmt.Errorf("sweep: online placement of job %d: %w", id, err))
 				return
 			}
-			depart := func() {
+			finish := func() {
+				res.JCTs[i] = tb.K.Now() - arr.At
 				ctl.JobDeparted(id)
 				fb.JobDeparted(id)
 				sched.Release(id)
+				finished++
 			}
+			jobFailed := func() {
+				fail(fmt.Errorf("sweep: online job %d failed", id))
+				finished++
+			}
+			progress := func(iter int) {
+				ctl.JobProgress(id, iter)
+				fb.OnProgress(id, iter)
+			}
+			info := core.JobInfo{
+				ID:          id,
+				UpdateBytes: spec.Model.UpdateBytes(),
+				TargetSteps: spec.Iterations,
+			}
+			var start func()
 			if spec.Kind.Collective() {
 				cspec, err := spec.LowerCollective(dec.Hosts)
 				if err != nil {
@@ -249,32 +279,15 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 					return
 				}
 				res.CollectiveJobs++
-				j.OnFinish = func(j *collective.Job) {
-					res.JCTs[i] = tb.K.Now() - arr.At
-					depart()
-					finished++
-				}
-				j.OnFail = func(j *collective.Job) {
-					fail(fmt.Errorf("sweep: open-world collective job %d failed", id))
-					finished++
-				}
-				j.OnIteration = func(j *collective.Job, iter int) {
-					ctl.JobProgress(id, iter)
-					fb.OnProgress(id, iter)
-				}
-				tb.K.Post(now+dec.ShiftSec, func() {
-					j.Start()
-					ctl.JobArrived(core.JobInfo{
-						ID:          id,
-						PSHost:      dec.Hosts[0],
-						PSPort:      j.Spec.Port,
-						UpdateBytes: spec.Model.UpdateBytes(),
-						SenderHosts: dec.Hosts,
-						Ports:       []int{j.Spec.Port},
-						TargetSteps: spec.Iterations,
-					})
-					fb.JobArrived(id)
-				})
+				j.OnFinish = func(*collective.Job) { finish() }
+				j.OnFail = func(*collective.Job) { jobFailed() }
+				j.OnIteration = func(_ *collective.Job, iter int) { progress(iter) }
+				// Every rank sends from the job's port, so one JobInfo
+				// with SenderHosts = the ranks keys the whole job into a
+				// single band on each of its hosts.
+				info.PSHost, info.PSPort = dec.Hosts[0], j.Spec.Port
+				info.SenderHosts, info.Ports = dec.Hosts, []int{j.Spec.Port}
+				start = j.Start
 			} else {
 				pspec, err := spec.LowerPS(dec.Hosts)
 				if err != nil {
@@ -287,66 +300,32 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 					return
 				}
 				res.PSJobs++
-				j.OnFinish = func(j *dl.Job) {
-					res.JCTs[i] = tb.K.Now() - arr.At
-					depart()
-					finished++
-				}
-				j.OnFail = func(j *dl.Job) {
-					fail(fmt.Errorf("sweep: open-world PS job %d failed", id))
-					finished++
-				}
-				j.OnBarrier = func(j *dl.Job, iter int) {
-					ctl.JobProgress(id, iter)
-					fb.OnProgress(id, iter)
-				}
-				tb.K.Post(now+dec.ShiftSec, func() {
-					j.Start()
-					ctl.JobArrived(core.JobInfo{
-						ID:          id,
-						PSHost:      j.Spec.PSHost,
-						PSPort:      j.Spec.PSPort,
-						UpdateBytes: spec.Model.UpdateBytes(),
-						TargetSteps: spec.Iterations,
-					})
-					fb.JobArrived(id)
-				})
+				j.OnFinish = func(*dl.Job) { finish() }
+				j.OnFail = func(*dl.Job) { jobFailed() }
+				j.OnBarrier = func(_ *dl.Job, iter int) { progress(iter) }
+				info.PSHost, info.PSPort = j.Spec.PSHost, j.Spec.PSPort
+				start = j.Start
 			}
+			tb.K.Post(now+dec.ShiftSec, func() {
+				start()
+				ctl.JobArrived(info)
+				fb.JobArrived(id)
+			})
 		})
 	}
 
-	tb.K.MaxEvents = 500_000_000
-	done := ctx.Done()
-	cancelled := done != nil && ctx.Err() != nil
-	var sinceCheck int
-	total := len(arrivals)
-	tb.K.Run(func() bool {
-		if cancelled {
-			return true
+	total := len(arrs)
+	if err := tb.RunUntil(ctx, 0, func() bool { return finished >= total || trialErr != nil }); err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("sweep: online trial cancelled at sim time %.3f s: %w", tb.K.Now(), err)
 		}
-		if done != nil {
-			sinceCheck++
-			if sinceCheck >= schedCtxCheckEvery {
-				sinceCheck = 0
-				select {
-				case <-done:
-					cancelled = true
-					return true
-				default:
-				}
-			}
-		}
-		return finished >= total || trialErr != nil
-	})
-	if cancelled {
-		return nil, fmt.Errorf("sweep: open-world trial cancelled at sim time %.3f s: %w",
-			tb.K.Now(), ctx.Err())
+		return nil, fmt.Errorf("sweep: online trial stalled: %d/%d jobs finished: %w", finished, total, err)
 	}
 	if trialErr != nil {
 		return nil, trialErr
 	}
 	if finished < total {
-		return nil, fmt.Errorf("sweep: open-world trial stalled: %d/%d jobs finished after %d events",
+		return nil, fmt.Errorf("sweep: online trial stalled: %d/%d jobs finished after %d events",
 			finished, total, tb.K.Fired())
 	}
 
@@ -356,19 +335,13 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 	res.MakespanSec = tb.K.Now()
 	res.Events = tb.K.Fired()
 	res.ShiftedJobs, res.TotalShiftSec = sched.Shifts()
-	var upBytes, egress int64
-	for _, l := range tb.Fabric.CoreLinks() {
-		if len(l.Name) >= 4 && l.Name[:4] == "leaf" {
-			upBytes += l.Port().Bytes()
+	links, egress := linkTally(tb, res.MakespanSec)
+	var upBytes int64
+	for _, l := range links {
+		if strings.HasPrefix(l.Name, "leaf") {
+			upBytes += l.Bytes
 		}
-		if res.MakespanSec > 0 {
-			if u := l.Port().BusyTime() / res.MakespanSec; u > res.MaxLinkUtil {
-				res.MaxLinkUtil = u
-			}
-		}
-	}
-	for _, h := range tb.Fabric.Hosts() {
-		egress += h.Egress.Bytes()
+		res.MaxLinkUtil = max(res.MaxLinkUtil, l.Util)
 	}
 	if egress > 0 {
 		res.CrossRackRatio = float64(upBytes) / float64(egress)

@@ -141,6 +141,25 @@ type LinkStat struct {
 	Util float64
 }
 
+// linkTally summarizes every fabric core link over a run of simTime
+// seconds (empty on the flat topology) and sums the bytes all host
+// NICs transmitted.
+func linkTally(tb *cluster.Testbed, simTime float64) (links []LinkStat, egress int64) {
+	for _, l := range tb.Fabric.CoreLinks() {
+		util := 0.0
+		if simTime > 0 {
+			util = l.Port().BusyTime() / simTime
+		}
+		links = append(links, LinkStat{
+			Link: l.ID, Name: l.Name, Bytes: l.Port().Bytes(), Util: util,
+		})
+	}
+	for _, h := range tb.Fabric.Hosts() {
+		egress += h.Egress.Bytes()
+	}
+	return links, egress
+}
+
 // AvgJCT returns the mean job completion time.
 func (r *RunResult) AvgJCT() float64 { return metrics.Mean(r.JCTs) }
 
@@ -286,8 +305,11 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		sampler.Stop()
 	}
 	if runErr != nil {
-		return nil, fmt.Errorf("sweep: run %q cancelled at sim time %.3f s: %w",
-			rc.Label, tb.K.Now(), runErr)
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("sweep: run %q cancelled at sim time %.3f s: %w",
+				rc.Label, tb.K.Now(), runErr)
+		}
+		return nil, fmt.Errorf("sweep: run %q: %w", rc.Label, runErr)
 	}
 
 	res := &RunResult{
@@ -343,18 +365,7 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 	}
 	res.DroppedChunks = tb.Fabric.DroppedChunks()
 	res.TcRecovery = ctl.Stats()
-	for _, l := range tb.Fabric.CoreLinks() {
-		util := 0.0
-		if res.SimTime > 0 {
-			util = l.Port().BusyTime() / res.SimTime
-		}
-		res.LinkStats = append(res.LinkStats, LinkStat{
-			Link: l.ID, Name: l.Name, Bytes: l.Port().Bytes(), Util: util,
-		})
-	}
-	for _, h := range tb.Fabric.Hosts() {
-		res.EgressBytes += h.Egress.Bytes()
-	}
+	res.LinkStats, res.EgressBytes = linkTally(tb, res.SimTime)
 	for h := 0; h < tb.Fabric.NumHosts(); h++ {
 		if psSet[h] {
 			res.PSHosts = append(res.PSHosts, h)

@@ -4,15 +4,12 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cluster"
-	"repro/internal/collective"
-	"repro/internal/core"
 	"repro/internal/dl"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/scheduler"
-	"repro/internal/simnet"
+	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // Scheduler-experiment scale: the topology experiment's 3-rack
@@ -43,18 +40,11 @@ var schedulerPolicyNames = []string{"FIFO", "TLs-RR", "TLs-LAS"}
 // communication-bound AlexNet ring, a light ResNet-56 parameter-server
 // group, and a ResNet-50 ring, repeating by arrival index. The mix
 // pits elephant collectives against PS fan-in on the same uplinks.
-type schedArrival struct {
-	kind       scheduler.Kind
-	model      dl.Model
-	tasks      int
-	localBatch int
-	label      string
-}
-
-var schedMix = []schedArrival{
-	{scheduler.KindCollective, dl.AlexNet, 3, 1, "alexnet-ring"},
-	{scheduler.KindPS, dl.ResNet56, 3, 4, "resnet56-ps"},
-	{scheduler.KindCollective, dl.ResNet50, 3, 1, "resnet50-ring"},
+// Name is the label each arrival's name starts with.
+var schedMix = []workload.JobSpec{
+	{Name: "alexnet-ring", Kind: workload.KindRing, Model: dl.AlexNet, Tasks: 3, LocalBatch: 1},
+	{Name: "resnet56-ps", Kind: workload.KindPS, Model: dl.ResNet56, Tasks: 3, LocalBatch: 4},
+	{Name: "resnet50-ring", Kind: workload.KindRing, Model: dl.ResNet50, Tasks: 3, LocalBatch: 1},
 }
 
 // SchedulerTrialConfig describes one online-scheduler run.
@@ -85,290 +75,41 @@ type SchedulerTrialConfig struct {
 	Tracer trace.Tracer
 }
 
-func (c *SchedulerTrialConfig) fillDefaults() {
-	if c.Steps <= 0 {
-		c.Steps = 30_000
-	}
-	if c.Oversub <= 0 {
-		c.Oversub = 2
-	}
-	if c.Placement == "" {
-		c.Placement = scheduler.PolicyContentionAware
-	}
-	if c.PolicyName == "" {
-		c.PolicyName = "FIFO"
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = 9
-	}
-	if c.ArrivalRatePerSec <= 0 {
-		c.ArrivalRatePerSec = 1.0
-	}
-}
-
-// SchedulerTrialResult aggregates one online-scheduler run. JCTs are
-// measured from *arrival* to finish (not from the possibly-shifted
-// start), so phase shifts pay their own delay.
-type SchedulerTrialResult struct {
-	JCTs           []float64 // per arrival, in arrival order
-	AvgJCT         float64
-	P95JCT         float64
-	CrossRackRatio float64
-	MaxLinkUtil    float64
-	ShiftedJobs    int
-	TotalShiftSec  float64
-	Reconfigs      int
-	MakespanSec    float64
-	Events         uint64
-}
-
-// schedCtxCheckEvery mirrors cluster's cancellation poll amortization.
-const schedCtxCheckEvery = 4096
-
 // SchedulerTrial runs one online-scheduler simulation: Poisson
-// arrivals from the cyclic mix, each placed by the cluster-scheduler
-// tier at its arrival instant (phase-aware placements may additionally
-// delay the start), running under the configured end-host TensorLights
-// policy until every job finishes.
-func SchedulerTrial(ctx context.Context, cfg SchedulerTrialConfig) (*SchedulerTrialResult, error) {
-	cfg.fillDefaults()
-	iters := cfg.Steps / 30
-	if iters < 2 {
-		iters = 2
+// arrivals (stream "sched-arrivals") from the cyclic mix on the
+// homogeneous cluster, each placed by the cluster-scheduler tier at its
+// arrival instant (phase-aware placements may additionally delay the
+// start), running under the configured end-host TensorLights policy
+// until every job finishes.
+func SchedulerTrial(ctx context.Context, cfg SchedulerTrialConfig) (*OpenWorldTrialResult, error) {
+	ow := OpenWorldTrialConfig{
+		Steps:             cfg.Steps,
+		Seed:              cfg.Seed,
+		Oversub:           cfg.Oversub,
+		Placement:         cfg.Placement,
+		PolicyName:        cfg.PolicyName,
+		Jobs:              cfg.Jobs,
+		ArrivalRatePerSec: cfg.ArrivalRatePerSec,
+		FabricMode:        cfg.FabricMode,
+		Tracer:            cfg.Tracer,
 	}
-	topo := simnet.TopologyConfig{
-		Kind:             simnet.TopologyLeafSpine,
-		Racks:            schedRacks,
-		UplinksPerLeaf:   schedUplinks,
-		Oversubscription: cfg.Oversub,
-	}
-	tb := cluster.NewTestbed(cluster.Config{
-		Hosts: schedHosts,
-		Seed:  cfg.Seed,
-		Net:   simnet.Config{Topology: topo, Mode: cfg.FabricMode},
+	ow.fillDefaults()
+	return runOnline(ctx, ow, func(rng *sim.RNG, iters int) ([]workload.OpenArrival, error) {
+		times, err := workload.Poisson{RatePerSec: ow.ArrivalRatePerSec}.Times(ow.Jobs, rng.Stream("sched-arrivals"))
+		if err != nil {
+			return nil, err
+		}
+		arrivals := make([]workload.OpenArrival, len(times))
+		for i, at := range times {
+			spec := schedMix[i%len(schedMix)]
+			spec.ID = i
+			spec.Name = fmt.Sprintf("%s-%02d", spec.Name, i)
+			spec.Iterations = iters
+			spec.Port = workload.PortFor(spec.Kind, i)
+			arrivals[i] = workload.OpenArrival{At: at, Spec: spec}
+		}
+		return arrivals, nil
 	})
-	tls := topologyTLs(cfg.PolicyName, cfg.Steps)
-	if err := tls.Validate(); err != nil {
-		return nil, err
-	}
-	ctl := core.New(tb.K, tb.TC, tb.RNG, tls)
-	// The trial always runs a Feedback collector: the phase-aware
-	// scheduler consumes its period EWMA even under end-host policies
-	// that do not need telemetry themselves.
-	fb := policy.NewFeedback(tb.K, policy.FeedbackConfig{
-		SampleIntervalSec: tls.FeedbackIntervalSec,
-	})
-	fb.Probe = cluster.NewQdiscProbe(tb.Fabric)
-	if cfg.Tracer != nil {
-		tb.Env.Tracer = cfg.Tracer
-		tb.Fabric.Tracer = cfg.Tracer
-		ctl.Tracer = cfg.Tracer
-		fb.Tracer = cfg.Tracer
-	}
-	if ctl.NeedsFeedback() {
-		ctl.AttachFeedback(fb)
-	}
-	sched, err := scheduler.New(scheduler.Config{
-		Hosts:    schedHosts,
-		Topo:     topo,
-		Policy:   cfg.Placement,
-		RNG:      tb.RNG,
-		Feedback: fb,
-		Tracer:   cfg.Tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Poisson arrivals from a dedicated stream, so the arrival process
-	// is identical across placements and end-host policies.
-	arrivals := make([]float64, cfg.Jobs)
-	arrStream := tb.RNG.Stream("sched-arrivals")
-	at := 0.0
-	for i := range arrivals {
-		at += arrStream.Expo(1 / cfg.ArrivalRatePerSec)
-		arrivals[i] = at
-	}
-
-	jcts := make([]float64, cfg.Jobs)
-	finished := 0
-	var trialErr error
-	fail := func(err error) {
-		if trialErr == nil {
-			trialErr = err
-		}
-	}
-	for i := 0; i < cfg.Jobs; i++ {
-		i := i
-		mix := schedMix[i%len(schedMix)]
-		arrival := arrivals[i]
-		tb.K.Post(arrival, func() {
-			now := tb.K.Now()
-			id := i
-			if mix.kind == scheduler.KindCollective {
-				id = cluster.CollectiveIDBase + i
-			}
-			dec, err := sched.Place(scheduler.JobReq{
-				ID: id, Kind: mix.kind, Model: mix.model,
-				Tasks: mix.tasks, LocalBatch: mix.localBatch,
-			}, now)
-			if err != nil {
-				fail(fmt.Errorf("sweep: scheduler placement of job %d: %w", id, err))
-				return
-			}
-			depart := func() {
-				ctl.JobDeparted(id)
-				fb.JobDeparted(id)
-				sched.Release(id)
-			}
-			switch mix.kind {
-			case scheduler.KindCollective:
-				j, err := collective.NewJob(tb.Env, collective.JobSpec{
-					ID:               id,
-					Name:             fmt.Sprintf("%s-%02d", mix.label, i),
-					Model:            mix.model,
-					Algorithm:        collective.Ring,
-					Hosts:            dec.Hosts,
-					LocalBatch:       mix.localBatch,
-					TargetIterations: iters,
-					Port:             7000 + 100*i,
-				})
-				if err != nil {
-					fail(err)
-					return
-				}
-				j.OnFinish = func(j *collective.Job) {
-					jcts[i] = tb.K.Now() - arrival
-					depart()
-					finished++
-				}
-				j.OnFail = func(j *collective.Job) {
-					fail(fmt.Errorf("sweep: collective job %d failed", id))
-					finished++
-				}
-				j.OnIteration = func(j *collective.Job, iter int) {
-					ctl.JobProgress(id, iter)
-					fb.OnProgress(id, iter)
-				}
-				tb.K.Post(now+dec.ShiftSec, func() {
-					j.Start()
-					ctl.JobArrived(core.JobInfo{
-						ID:          id,
-						PSHost:      dec.Hosts[0],
-						PSPort:      j.Spec.Port,
-						UpdateBytes: mix.model.UpdateBytes(),
-						SenderHosts: dec.Hosts,
-						Ports:       []int{j.Spec.Port},
-						TargetSteps: iters,
-					})
-					fb.JobArrived(id)
-				})
-			case scheduler.KindPS:
-				workers := dec.Hosts[1:]
-				j, err := dl.NewJob(tb.Env, dl.JobSpec{
-					ID:                id,
-					Name:              fmt.Sprintf("%s-%02d", mix.label, i),
-					Model:             mix.model,
-					NumWorkers:        len(workers),
-					LocalBatch:        mix.localBatch,
-					TargetGlobalSteps: iters * len(workers),
-					PSHost:            dec.Hosts[0],
-					PSPort:            5000 + i,
-					WorkerHosts:       workers,
-				})
-				if err != nil {
-					fail(err)
-					return
-				}
-				j.OnFinish = func(j *dl.Job) {
-					jcts[i] = tb.K.Now() - arrival
-					depart()
-					finished++
-				}
-				j.OnFail = func(j *dl.Job) {
-					fail(fmt.Errorf("sweep: PS job %d failed", id))
-					finished++
-				}
-				j.OnBarrier = func(j *dl.Job, iter int) {
-					ctl.JobProgress(id, iter)
-					fb.OnProgress(id, iter)
-				}
-				tb.K.Post(now+dec.ShiftSec, func() {
-					j.Start()
-					ctl.JobArrived(core.JobInfo{
-						ID:          id,
-						PSHost:      j.Spec.PSHost,
-						PSPort:      j.Spec.PSPort,
-						UpdateBytes: mix.model.UpdateBytes(),
-						TargetSteps: iters,
-					})
-					fb.JobArrived(id)
-				})
-			}
-		})
-	}
-
-	tb.K.MaxEvents = 500_000_000
-	done := ctx.Done()
-	cancelled := done != nil && ctx.Err() != nil
-	var sinceCheck int
-	tb.K.Run(func() bool {
-		if cancelled {
-			return true
-		}
-		if done != nil {
-			sinceCheck++
-			if sinceCheck >= schedCtxCheckEvery {
-				sinceCheck = 0
-				select {
-				case <-done:
-					cancelled = true
-					return true
-				default:
-				}
-			}
-		}
-		return finished >= cfg.Jobs || trialErr != nil
-	})
-	if cancelled {
-		return nil, fmt.Errorf("sweep: scheduler trial cancelled at sim time %.3f s: %w",
-			tb.K.Now(), ctx.Err())
-	}
-	if trialErr != nil {
-		return nil, trialErr
-	}
-	if finished < cfg.Jobs {
-		return nil, fmt.Errorf("sweep: scheduler trial stalled: %d/%d jobs finished after %d events",
-			finished, cfg.Jobs, tb.K.Fired())
-	}
-
-	res := &SchedulerTrialResult{
-		JCTs:        jcts,
-		AvgJCT:      metrics.Mean(jcts),
-		P95JCT:      metrics.Percentile(jcts, 0.95),
-		Reconfigs:   ctl.Reconfigs(),
-		MakespanSec: tb.K.Now(),
-		Events:      tb.K.Fired(),
-	}
-	res.ShiftedJobs, res.TotalShiftSec = sched.Shifts()
-	var upBytes, egress int64
-	for _, l := range tb.Fabric.CoreLinks() {
-		if len(l.Name) >= 4 && l.Name[:4] == "leaf" {
-			upBytes += l.Port().Bytes()
-		}
-		if res.MakespanSec > 0 {
-			if u := l.Port().BusyTime() / res.MakespanSec; u > res.MaxLinkUtil {
-				res.MaxLinkUtil = u
-			}
-		}
-	}
-	for _, h := range tb.Fabric.Hosts() {
-		egress += h.Egress.Bytes()
-	}
-	if egress > 0 {
-		res.CrossRackRatio = float64(upBytes) / float64(egress)
-	}
-	return res, nil
 }
 
 // SchedulerRow is one (oversubscription, placement, policy) cell.
@@ -475,7 +216,7 @@ func SchedulerSweepContext(ctx context.Context, o Options) (*SchedulerResult, er
 			}
 		}
 	}
-	results := make([]*SchedulerTrialResult, len(cells))
+	results := make([]*OpenWorldTrialResult, len(cells))
 	err := Engine{Parallelism: o.Parallelism}.ForEachContext(ctx, len(cells), func(ctx context.Context, i int) error {
 		c := cells[i]
 		r, err := SchedulerTrial(ctx, SchedulerTrialConfig{

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSchedulerTrialDeterministic(t *testing.T) {
-	run := func() *SchedulerTrialResult {
+	run := func() *OpenWorldTrialResult {
 		r, err := SchedulerTrial(context.Background(), SchedulerTrialConfig{
 			Steps: 300, Seed: 42, Oversub: 2,
 			Placement: scheduler.PolicyPhaseAware, PolicyName: "TLs-RR",

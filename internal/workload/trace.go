@@ -166,7 +166,7 @@ func (t *Trace) spec(i int) (JobSpec, error) {
 		Tasks:      e.Tasks,
 		LocalBatch: e.LocalBatch,
 		Iterations: e.Iterations,
-		Port:       portFor(e.Kind, i),
+		Port:       PortFor(e.Kind, i),
 	}, nil
 }
 

@@ -212,8 +212,8 @@ const (
 	baseCollectivePort = 7000
 )
 
-// portFor assigns job i's TCP source port by kind.
-func portFor(kind Kind, i int) int {
+// PortFor assigns job i's TCP source port by kind.
+func PortFor(kind Kind, i int) int {
 	if kind.Collective() {
 		return baseCollectivePort + 100*i
 	}
@@ -302,7 +302,7 @@ func GenerateOpen(cfg OpenConfig, rng *sim.RNG) ([]OpenArrival, error) {
 			Tasks:      tpl.Tasks,
 			LocalBatch: tpl.LocalBatch,
 			Iterations: tpl.Iterations,
-			Port:       portFor(tpl.Kind, i),
+			Port:       PortFor(tpl.Kind, i),
 		}
 		if err := spec.Validate(); err != nil {
 			return nil, err

@@ -414,39 +414,22 @@ func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*Result, e
 		return nil, fmt.Errorf("tensorlights: unknown fabric mode %q (want %q or %q)",
 			cfg.FabricMode, simnet.ModeChunk, simnet.ModeFlow)
 	}
-	if cfg.Scheduler != nil {
-		if cfg.OpenWorld != nil {
-			return nil, fmt.Errorf("tensorlights: OpenWorld is incompatible with Scheduler (set exactly one)")
-		}
-		return runSchedulerExperiment(ctx, cfg)
+	if cfg.Scheduler != nil && cfg.OpenWorld != nil {
+		return nil, fmt.Errorf("tensorlights: OpenWorld is incompatible with Scheduler (set exactly one)")
 	}
-	if cfg.OpenWorld != nil {
-		return runOpenWorldExperiment(ctx, cfg)
+	if cfg.Scheduler != nil || cfg.OpenWorld != nil {
+		return runOnlineExperiment(ctx, cfg)
 	}
 	rc, err := toRunConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var buf *trace.Buffer
-	if cfg.TraceCSV != nil {
-		buf = &trace.Buffer{}
-		rc.Tracer = buf
-	}
-	res, err := sweep.RunContext(ctx, rc)
+	res, err := withTrace(ctx, cfg.TraceCSV, func(tr trace.Tracer) (*sweep.RunResult, error) {
+		rc.Tracer = tr
+		return sweep.RunContext(ctx, rc)
+	})
 	if err != nil {
-		if buf != nil && ctx.Err() != nil {
-			// Best effort: the run was cancelled, not broken — dump what
-			// we have, clearly marked. A dump error cannot outrank the
-			// cancellation itself.
-			fmt.Fprintf(cfg.TraceCSV, "# partial trace: experiment cancelled before completion (%v)\n", ctx.Err())
-			_ = buf.WriteCSV(cfg.TraceCSV)
-		}
 		return nil, err
-	}
-	if buf != nil {
-		if err := buf.WriteCSV(cfg.TraceCSV); err != nil {
-			return nil, fmt.Errorf("tensorlights: trace dump: %w", err)
-		}
 	}
 	out := &Result{
 		JCTs:                res.JCTs,
@@ -475,100 +458,93 @@ func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*Result, e
 	return out, nil
 }
 
-// runSchedulerExperiment maps an ExperimentConfig with Scheduler set
-// onto one online cluster-scheduler trial.
-func runSchedulerExperiment(ctx context.Context, cfg ExperimentConfig) (*Result, error) {
-	place, err := scheduler.ParsePolicy(cfg.Scheduler.Placement)
+// withTrace runs one experiment, handing it a trace buffer when w is
+// non-nil and dumping the buffer to w as CSV afterwards.
+func withTrace[R any](ctx context.Context, w io.Writer, run func(trace.Tracer) (*R, error)) (*R, error) {
+	if w == nil {
+		return run(nil)
+	}
+	buf := &trace.Buffer{}
+	res, err := run(buf)
 	if err != nil {
-		return nil, err
-	}
-	if cfg.Scheduler.Placement == "" {
-		place = scheduler.PolicyContentionAware
-	}
-	tc := sweep.SchedulerTrialConfig{
-		Steps:             cfg.Steps,
-		Seed:              cfg.Seed,
-		Oversub:           cfg.Scheduler.Oversubscription,
-		Placement:         place,
-		PolicyName:        cfg.Policy.String(),
-		Jobs:              cfg.Scheduler.Jobs,
-		ArrivalRatePerSec: cfg.Scheduler.ArrivalRatePerSec,
-		FabricMode:        cfg.FabricMode,
-	}
-	var buf *trace.Buffer
-	if cfg.TraceCSV != nil {
-		buf = &trace.Buffer{}
-		tc.Tracer = buf
-	}
-	res, err := sweep.SchedulerTrial(ctx, tc)
-	if err != nil {
-		if buf != nil && ctx.Err() != nil {
-			fmt.Fprintf(cfg.TraceCSV, "# partial trace: experiment cancelled before completion (%v)\n", ctx.Err())
-			_ = buf.WriteCSV(cfg.TraceCSV)
+		if ctx.Err() != nil {
+			// Best effort: the run was cancelled, not broken — dump what
+			// we have, clearly marked. A dump error cannot outrank the
+			// cancellation itself.
+			fmt.Fprintf(w, "# partial trace: experiment cancelled before completion (%v)\n", ctx.Err())
+			_ = buf.WriteCSV(w)
 		}
 		return nil, err
 	}
-	if buf != nil {
-		if err := buf.WriteCSV(cfg.TraceCSV); err != nil {
-			return nil, fmt.Errorf("tensorlights: trace dump: %w", err)
-		}
+	if err := buf.WriteCSV(w); err != nil {
+		return nil, fmt.Errorf("tensorlights: trace dump: %w", err)
 	}
-	return &Result{
-		JCTs:               res.JCTs,
-		AvgJCT:             res.AvgJCT,
-		SimulatedSeconds:   res.MakespanSec,
-		Events:             res.Events,
-		TcReconfigurations: res.Reconfigs,
-	}, nil
+	return res, nil
 }
 
-// runOpenWorldExperiment maps an ExperimentConfig with OpenWorld set
-// onto one open-world trial.
-func runOpenWorldExperiment(ctx context.Context, cfg ExperimentConfig) (*Result, error) {
-	place, err := scheduler.ParsePolicy(cfg.OpenWorld.Placement)
-	if err != nil {
-		return nil, err
+// onlinePlacement parses a cluster-scheduler placement name; "" keeps
+// the online experiments' contention-aware default.
+func onlinePlacement(name string) (scheduler.Policy, error) {
+	if name == "" {
+		return scheduler.PolicyContentionAware, nil
 	}
-	if cfg.OpenWorld.Placement == "" {
-		place = scheduler.PolicyContentionAware
-	}
-	tc := sweep.OpenWorldTrialConfig{
-		Steps:             cfg.Steps,
-		Seed:              cfg.Seed,
-		Arrivals:          cfg.OpenWorld.Arrivals,
-		Heterogeneous:     cfg.OpenWorld.Heterogeneous,
-		Oversub:           cfg.OpenWorld.Oversubscription,
-		Placement:         place,
-		PolicyName:        cfg.Policy.String(),
-		Jobs:              cfg.OpenWorld.Jobs,
-		ArrivalRatePerSec: cfg.OpenWorld.ArrivalRatePerSec,
-		MixName:           cfg.OpenWorld.Mix,
-		FabricMode:        cfg.FabricMode,
-	}
-	if cfg.OpenWorld.Trace != nil {
-		tr, err := workload.ParseTrace(cfg.OpenWorld.Trace)
+	return scheduler.ParsePolicy(name)
+}
+
+// runOnlineExperiment maps an ExperimentConfig with Scheduler or
+// OpenWorld set onto one online trial.
+func runOnlineExperiment(ctx context.Context, cfg ExperimentConfig) (*Result, error) {
+	var trial func(trace.Tracer) (*sweep.OpenWorldTrialResult, error)
+	if s := cfg.Scheduler; s != nil {
+		place, err := onlinePlacement(s.Placement)
 		if err != nil {
 			return nil, err
 		}
-		tc.Trace = tr
+		trial = func(tr trace.Tracer) (*sweep.OpenWorldTrialResult, error) {
+			return sweep.SchedulerTrial(ctx, sweep.SchedulerTrialConfig{
+				Steps:             cfg.Steps,
+				Seed:              cfg.Seed,
+				Oversub:           s.Oversubscription,
+				Placement:         place,
+				PolicyName:        cfg.Policy.String(),
+				Jobs:              s.Jobs,
+				ArrivalRatePerSec: s.ArrivalRatePerSec,
+				FabricMode:        cfg.FabricMode,
+				Tracer:            tr,
+			})
+		}
+	} else {
+		ow := cfg.OpenWorld
+		place, err := onlinePlacement(ow.Placement)
+		if err != nil {
+			return nil, err
+		}
+		tc := sweep.OpenWorldTrialConfig{
+			Steps:             cfg.Steps,
+			Seed:              cfg.Seed,
+			Arrivals:          ow.Arrivals,
+			Heterogeneous:     ow.Heterogeneous,
+			Oversub:           ow.Oversubscription,
+			Placement:         place,
+			PolicyName:        cfg.Policy.String(),
+			Jobs:              ow.Jobs,
+			ArrivalRatePerSec: ow.ArrivalRatePerSec,
+			MixName:           ow.Mix,
+			FabricMode:        cfg.FabricMode,
+		}
+		if ow.Trace != nil {
+			if tc.Trace, err = workload.ParseTrace(ow.Trace); err != nil {
+				return nil, err
+			}
+		}
+		trial = func(tr trace.Tracer) (*sweep.OpenWorldTrialResult, error) {
+			tc.Tracer = tr
+			return sweep.OpenWorldTrial(ctx, tc)
+		}
 	}
-	var buf *trace.Buffer
-	if cfg.TraceCSV != nil {
-		buf = &trace.Buffer{}
-		tc.Tracer = buf
-	}
-	res, err := sweep.OpenWorldTrial(ctx, tc)
+	res, err := withTrace(ctx, cfg.TraceCSV, trial)
 	if err != nil {
-		if buf != nil && ctx.Err() != nil {
-			fmt.Fprintf(cfg.TraceCSV, "# partial trace: experiment cancelled before completion (%v)\n", ctx.Err())
-			_ = buf.WriteCSV(cfg.TraceCSV)
-		}
 		return nil, err
-	}
-	if buf != nil {
-		if err := buf.WriteCSV(cfg.TraceCSV); err != nil {
-			return nil, fmt.Errorf("tensorlights: trace dump: %w", err)
-		}
 	}
 	return &Result{
 		JCTs:               res.JCTs,

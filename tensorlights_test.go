@@ -1,6 +1,8 @@
 package tensorlights
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -490,6 +492,47 @@ func TestRunExperimentScheduler(t *testing.T) {
 		Steps: 300, Scheduler: &SchedulerConfig{Placement: "bogus"},
 	}); err == nil {
 		t.Fatal("bogus placement should fail")
+	}
+}
+
+// TestRunExperimentPartialTrace pins the trace contract of every run
+// mode: a cancelled run still dumps what it traced, marked as partial,
+// and a completed run writes no such marker.
+func TestRunExperimentPartialTrace(t *testing.T) {
+	const marker = "# partial trace"
+	modes := []struct {
+		name string
+		cfg  ExperimentConfig
+	}{
+		{"grid", ExperimentConfig{Placement: "3", NumJobs: 3}},
+		{"scheduler", ExperimentConfig{Scheduler: &SchedulerConfig{Jobs: 2}}},
+		{"openworld", ExperimentConfig{OpenWorld: &OpenWorldConfig{Jobs: 2}}},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := m.cfg
+			cfg.Steps, cfg.Seed = 60, 1
+
+			var partial strings.Builder
+			cfg.TraceCSV = &partial
+			if _, err := RunExperimentContext(cancelled, cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-cancelled run: got %v, want context.Canceled", err)
+			}
+			if !strings.HasPrefix(partial.String(), marker) {
+				t.Fatalf("cancelled trace does not begin with %q:\n%.200s", marker, partial.String())
+			}
+
+			var full strings.Builder
+			cfg.TraceCSV = &full
+			if _, err := RunExperimentContext(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(full.String(), marker) || !strings.Contains(full.String(), "job_finish") {
+				t.Fatalf("completed trace is marked partial or lacks job_finish:\n%.200s", full.String())
+			}
+		})
 	}
 }
 
