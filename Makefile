@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-module fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+.PHONY: build test vet staticcheck race check bench bench-module qdisc-bench-smoke fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
 
 build:
 	$(GO) build ./...
@@ -61,7 +61,12 @@ flow-equiv:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-check: build vet staticcheck test race bench-module examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+# qdisc-bench-smoke runs every qdisc microbenchmark once, so the
+# layer benchmarks keep compiling and running.
+qdisc-bench-smoke:
+	$(GO) test ./internal/qdisc -run '^$$' -bench . -benchtime 1x
+
+check: build vet staticcheck test race bench-module qdisc-bench-smoke examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.

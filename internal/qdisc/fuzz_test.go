@@ -150,10 +150,28 @@ func checkHTBAccounting(t *testing.T, h *HTB) {
 	}
 }
 
+// checkHTBClassOrder asserts the class list stays strictly ascending
+// and that Len agrees with the direct queue plus every class's queue, so
+// a stale class slice after AddClass/DeleteClass shows immediately.
+func checkHTBClassOrder(t *testing.T, h *HTB) {
+	t.Helper()
+	ids := h.Classes()
+	n := h.direct.len()
+	for i, id := range ids {
+		if i > 0 && ids[i-1] >= id {
+			t.Fatalf("Classes() not strictly ascending: %v", ids)
+		}
+		n += h.Class(id).Len()
+	}
+	if got := h.Len(); got != n {
+		t.Fatalf("Len() = %d, but direct + per-class queues hold %d", got, n)
+	}
+}
+
 // FuzzHTBDequeue interprets the input as a program of class mutations,
 // arbitrary-key enqueues and time-advancing dequeues against an HTB,
 // checking it never panics and the drop/backlog accounting stays
-// consistent throughout.
+// consistent and the class list ordered throughout.
 func FuzzHTBDequeue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 2, 50, 10, 3, 5, 2, 60, 20, 3, 9})
@@ -238,6 +256,7 @@ func FuzzHTBDequeue(f *testing.F) {
 				}
 			}
 			checkHTBAccounting(t, h)
+			checkHTBClassOrder(t, h)
 		}
 	})
 }

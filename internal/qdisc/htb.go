@@ -2,6 +2,7 @@ package qdisc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -28,8 +29,11 @@ type HTB struct {
 	rootTokens float64
 	lastUpdate float64
 
+	// classes looks a leaf up by id; order holds the same leaves sorted
+	// by id and is what every per-chunk loop walks, so the only map
+	// accesses per chunk are Enqueue's class lookup and the DRR cursor.
 	classes    map[ClassID]*HTBClass
-	order      []ClassID // stable iteration order (sorted by id)
+	order      []*HTBClass
 	classifier *Classifier
 	defClass   ClassID
 	stats      Stats
@@ -44,6 +48,8 @@ type HTB struct {
 
 	// rrPos holds the round-robin cursor per priority level.
 	rrPos map[int]int
+	// levels is prioLevels' reused result buffer.
+	levels []int
 }
 
 // HTBClassConfig configures a leaf class. Rates are bytes/sec; bursts
@@ -139,8 +145,8 @@ func (h *HTB) AddClass(id ClassID, cfg HTBClassConfig) error {
 	}
 	c := &HTBClass{ID: id, cfg: cfg, tokens: cfg.Burst, ctokens: cfg.CBurst}
 	h.classes[id] = c
-	h.order = append(h.order, id)
-	sort.Slice(h.order, func(i, j int) bool { return h.order[i] < h.order[j] })
+	i := sort.Search(len(h.order), func(i int) bool { return h.order[i].ID > id })
+	h.order = slices.Insert(h.order, i, c)
 	return nil
 }
 
@@ -193,12 +199,7 @@ func (h *HTB) DeleteClass(id ClassID) error {
 		return fmt.Errorf("qdisc: htb class %d is non-empty", id)
 	}
 	delete(h.classes, id)
-	for i, cid := range h.order {
-		if cid == id {
-			h.order = append(h.order[:i], h.order[i+1:]...)
-			break
-		}
-	}
+	h.order = slices.DeleteFunc(h.order, func(cl *HTBClass) bool { return cl == c })
 	return nil
 }
 
@@ -208,7 +209,9 @@ func (h *HTB) Class(id ClassID) *HTBClass { return h.classes[id] }
 // Classes returns leaf ids in stable order.
 func (h *HTB) Classes() []ClassID {
 	out := make([]ClassID, len(h.order))
-	copy(out, h.order)
+	for i, cl := range h.order {
+		out[i] = cl.ID
+	}
 	return out
 }
 
@@ -255,8 +258,7 @@ func (h *HTB) refill(now float64) {
 	if h.rootTokens > h.rootBurst {
 		h.rootTokens = h.rootBurst
 	}
-	for _, id := range h.order {
-		cl := h.classes[id]
+	for _, cl := range h.order {
 		cl.tokens += cl.cfg.Rate * dt
 		if cl.tokens > cl.cfg.Burst {
 			cl.tokens = cl.cfg.Burst
@@ -268,39 +270,68 @@ func (h *HTB) refill(now float64) {
 	}
 }
 
-// prioLevels returns the sorted distinct priorities of non-empty classes.
+// prioLevels returns the sorted distinct priorities of non-empty
+// classes in a buffer reused across calls (valid until the next call).
 func (h *HTB) prioLevels() []int {
-	seen := map[int]bool{}
-	var levels []int
-	for _, id := range h.order {
-		cl := h.classes[id]
+	levels := h.levels[:0]
+	for _, cl := range h.order {
 		if cl.q.len() == 0 {
 			continue
 		}
-		if !seen[cl.cfg.Prio] {
-			seen[cl.cfg.Prio] = true
-			levels = append(levels, cl.cfg.Prio)
+		// Insert into the sorted, de-duplicated list; there are only a
+		// handful of levels.
+		i := len(levels)
+		for i > 0 && levels[i-1] > cl.cfg.Prio {
+			i--
 		}
+		if i > 0 && levels[i-1] == cl.cfg.Prio {
+			continue
+		}
+		levels = slices.Insert(levels, i, cl.cfg.Prio)
 	}
-	sort.Ints(levels)
+	h.levels = levels
 	return levels
 }
 
+// inRing reports whether a class takes part in a DRR pick at level:
+// it is backlogged at that priority and may send in the green pass (own
+// bucket) or the yellow pass (ceil bucket).
+func (cl *HTBClass) inRing(level int, green bool) bool {
+	if cl.cfg.Prio != level || cl.q.len() == 0 {
+		return false
+	}
+	if green {
+		return cl.tokens >= -tokEps
+	}
+	return cl.ctokens >= -tokEps
+}
+
 // pickDRR selects the next eligible class at a priority level using a
-// quantum-weighted round robin cursor.
-func (h *HTB) pickDRR(level int, eligible func(*HTBClass) bool) *HTBClass {
-	var ring []*HTBClass
-	for _, id := range h.order {
-		cl := h.classes[id]
-		if cl.cfg.Prio == level && cl.q.len() > 0 && eligible(cl) {
-			ring = append(ring, cl)
+// quantum-weighted round robin cursor over the eligible classes in id
+// order.
+func (h *HTB) pickDRR(level int, green bool) *HTBClass {
+	n := 0
+	for _, cl := range h.order {
+		if cl.inRing(level, green) {
+			n++
 		}
 	}
-	if len(ring) == 0 {
+	if n == 0 {
 		return nil
 	}
-	pos := h.rrPos[level] % len(ring)
-	cl := ring[pos]
+	pos := h.rrPos[level] % n
+	var cl *HTBClass
+	skip := pos
+	for _, c := range h.order {
+		if !c.inRing(level, green) {
+			continue
+		}
+		if skip == 0 {
+			cl = c
+			break
+		}
+		skip--
+	}
 	head := cl.q.peek()
 	cl.deficit -= float64(head.Bytes)
 	if cl.deficit <= 0 {
@@ -308,7 +339,7 @@ func (h *HTB) pickDRR(level int, eligible func(*HTBClass) bool) *HTBClass {
 		if cl.deficit < 0 {
 			cl.deficit = 0
 		}
-		h.rrPos[level] = (pos + 1) % len(ring)
+		h.rrPos[level] = (pos + 1) % n
 	}
 	return cl
 }
@@ -328,9 +359,11 @@ func (h *HTB) Dequeue(now float64) *Chunk {
 		h.stats.DequeuedBytes += uint64(ch.Bytes)
 		return ch
 	}
-	// Pass 1: green classes send on their own guaranteed rate.
-	for _, level := range h.prioLevels() {
-		cl := h.pickDRR(level, func(c *HTBClass) bool { return c.tokens >= -tokEps })
+	// Pass 1: green classes send on their own guaranteed rate. A pass
+	// that picks nothing changes no state, so both passes share levels.
+	levels := h.prioLevels()
+	for _, level := range levels {
+		cl := h.pickDRR(level, true)
 		if cl == nil {
 			continue
 		}
@@ -342,8 +375,8 @@ func (h *HTB) Dequeue(now float64) *Chunk {
 	}
 	// Pass 2: yellow classes borrow root bandwidth in priority order.
 	if h.rootTokens >= -tokEps {
-		for _, level := range h.prioLevels() {
-			cl := h.pickDRR(level, func(c *HTBClass) bool { return c.ctokens >= -tokEps })
+		for _, level := range levels {
+			cl := h.pickDRR(level, false)
 			if cl == nil {
 				continue
 			}
@@ -377,8 +410,7 @@ func (h *HTB) ReadyAt(now float64) float64 {
 		return now
 	}
 	ready := Never
-	for _, id := range h.order {
-		cl := h.classes[id]
+	for _, cl := range h.order {
 		if cl.q.len() == 0 {
 			continue
 		}
@@ -411,8 +443,8 @@ func (h *HTB) ReadyAt(now float64) float64 {
 // Len returns total queued chunks.
 func (h *HTB) Len() int {
 	n := h.direct.len()
-	for _, id := range h.order {
-		n += h.classes[id].q.len()
+	for _, cl := range h.order {
+		n += cl.q.len()
 	}
 	return n
 }
@@ -420,8 +452,8 @@ func (h *HTB) Len() int {
 // BacklogBytes returns total queued bytes.
 func (h *HTB) BacklogBytes() int64 {
 	n := h.direct.bytes
-	for _, id := range h.order {
-		n += h.classes[id].q.bytes
+	for _, cl := range h.order {
+		n += cl.q.bytes
 	}
 	return n
 }
@@ -434,8 +466,8 @@ func (h *HTB) Stats() Stats { return h.stats }
 // a fresh map (BandCounter).
 func (h *HTB) BandDequeuedBytes() map[int]uint64 {
 	out := make(map[int]uint64, len(h.order))
-	for _, id := range h.order {
-		out[int(id)] = h.classes[id].stats.DequeuedBytes
+	for _, cl := range h.order {
+		out[int(cl.ID)] = cl.stats.DequeuedBytes
 	}
 	return out
 }

@@ -334,3 +334,59 @@ func TestHTBKind(t *testing.T) {
 		t.Fatal("kind")
 	}
 }
+
+// backloggedTLsHTB builds TensorLights' six-class tree (tiny rate, full
+// ceil, prio = class) with four chunks queued in every class.
+func backloggedTLsHTB() *HTB {
+	const classes = 6
+	h := newTLsHTB(classes)
+	for c := 0; c < classes; c++ {
+		for i := 0; i < 4; i++ {
+			h.Enqueue(mkChunk(uint64(c*4+i), 5000+c, 256<<10), 0)
+		}
+	}
+	return h
+}
+
+// TestHTBSteadyStateAllocs pins the per-chunk path as allocation-free:
+// once every class is backlogged and the queues have reached their
+// working size, an Enqueue→ReadyAt→Dequeue cycle must not allocate.
+func TestHTBSteadyStateAllocs(t *testing.T) {
+	h := backloggedTLsHTB()
+	now := 0.0
+	c := h.Dequeue(now)
+	cycle := func() {
+		h.Enqueue(c, now)
+		now = h.ReadyAt(now)
+		if c = h.Dequeue(now); c == nil {
+			t.Fatalf("Dequeue(%g) failed after ReadyAt promised it", now)
+		}
+		now += float64(c.Bytes) / linkRate
+	}
+	for i := 0; i < 1000; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("steady-state HTB cycle allocates %.2f times, want 0", allocs)
+	}
+}
+
+// BenchmarkHTBDequeue services a backlogged six-class TensorLights HTB
+// like a line-rate device, re-enqueueing every dequeued chunk into its
+// class; one op is one transmitted chunk.
+func BenchmarkHTBDequeue(b *testing.B) {
+	h := backloggedTLsHTB()
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for ops := 0; ops < b.N; {
+		c := h.Dequeue(now)
+		if c == nil {
+			now = h.ReadyAt(now)
+			continue
+		}
+		now += float64(c.Bytes) / linkRate
+		h.Enqueue(c, now)
+		ops++
+	}
+}

@@ -2,12 +2,17 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/scheduler"
+	"repro/internal/simnet"
 )
 
 // csvWriter is any sweep result that can export itself as CSV.
@@ -73,5 +78,46 @@ func TestSweepsDeterministicSequentialVsParallel(t *testing.T) {
 			}
 			compareGolden(t, golden, seq)
 		})
+	}
+}
+
+// TestOpenWorldTLsPoliciesReproduce pins that priority-setting end-host
+// policies reproduce on the open-world flow-fabric trial: the same seed
+// must give the same result, JCTs and event count included. These
+// seeds once differed run to run because tied cpusim completions fired
+// in map order. The config is the bursty, heterogeneous, 2:1
+// contention-aware 9-job mixed cluster at full scale.
+func TestOpenWorldTLsPoliciesReproduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four full-scale open-world trials")
+	}
+	for _, tc := range []struct {
+		policy string
+		seed   int64
+	}{{"TLs-SRSF", 16}, {"TLs-RR", 20}} {
+		cfg := OpenWorldTrialConfig{
+			Steps:         30_000,
+			Seed:          tc.seed,
+			Arrivals:      "bursty",
+			Heterogeneous: true,
+			Oversub:       2,
+			Placement:     scheduler.PolicyContentionAware,
+			PolicyName:    tc.policy,
+			Jobs:          9,
+			MixName:       "mixed",
+			FabricMode:    simnet.ModeFlow,
+		}
+		first, err := OpenWorldTrial(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", tc.policy, tc.seed, err)
+		}
+		second, err := OpenWorldTrial(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s seed %d rerun: %v", tc.policy, tc.seed, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s seed %d differs between runs:\n first: %+v\nsecond: %+v",
+				tc.policy, tc.seed, first, second)
+		}
 	}
 }
