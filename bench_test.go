@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workload"
@@ -193,8 +194,8 @@ func BenchmarkAblationRotationInterval(b *testing.B) {
 func BenchmarkAblationOrderPolicies(b *testing.B) {
 	var arrival, random float64
 	for i := 0; i < b.N; i++ {
-		arrival = ablationRun(b, core.Config{Policy: core.PolicyOne, Order: core.OrderArrival})
-		random = ablationRun(b, core.Config{Policy: core.PolicyOne, Order: core.OrderRandom})
+		arrival = ablationRun(b, core.Config{Policy: core.PolicyOne, Order: policy.OrderArrival})
+		random = ablationRun(b, core.Config{Policy: core.PolicyOne, Order: policy.OrderRandom})
 	}
 	b.ReportMetric(arrival, "arrival_avg_jct_s")
 	b.ReportMetric(random, "random_avg_jct_s")
@@ -240,7 +241,7 @@ func BenchmarkAblationPSAwarePlacement(b *testing.B) {
 // the non-work-conserving StaticRate alternative the paper's §VII warns
 // about.
 func BenchmarkAblationPolicySpectrum(b *testing.B) {
-	policies := []core.Policy{
+	policies := []string{
 		core.PolicyFIFO, core.PolicyOne, core.PolicyRR,
 		core.PolicyLPF, core.PolicyStaticRate,
 	}
@@ -347,7 +348,7 @@ func BenchmarkChurnArrivalDeparture(b *testing.B) {
 // where the paper's §IV-B suggestion — prioritize jobs with smaller
 // model updates — avoids head-of-line blocking behind large updates.
 func BenchmarkAblationSmallestUpdateFirst(b *testing.B) {
-	run := func(order core.Order) float64 {
+	run := func(order policy.Order) float64 {
 		res, err := sweep.Churn(sweep.ChurnOptions{
 			Jobs:              8,
 			ArrivalRatePerSec: 2,
@@ -364,8 +365,8 @@ func BenchmarkAblationSmallestUpdateFirst(b *testing.B) {
 	}
 	var arrival, smallest float64
 	for i := 0; i < b.N; i++ {
-		arrival = run(core.OrderArrival)
-		smallest = run(core.OrderSmallestUpdate)
+		arrival = run(policy.OrderArrival)
+		smallest = run(policy.OrderSmallestUpdate)
 	}
 	b.ReportMetric(arrival, "arrival_avg_jct_s")
 	b.ReportMetric(smallest, "smallest_first_avg_jct_s")
@@ -378,11 +379,11 @@ func BenchmarkAblationSmallestUpdateFirst(b *testing.B) {
 // and the combination wins.
 func BenchmarkAblationGradientCompression(b *testing.B) {
 	p1, _ := cluster.PlacementByIndex(1)
-	run := func(policy core.Policy, compression float64) float64 {
+	run := func(pol string, compression float64) float64 {
 		res, err := sweep.Run(sweep.RunConfig{
 			Placement:       p1,
 			TargetSteps:     benchSteps,
-			TLs:             core.Config{Policy: policy},
+			TLs:             core.Config{Policy: pol},
 			GradCompression: compression,
 			Cluster:         cluster.Config{Seed: 42},
 		})

@@ -134,7 +134,7 @@ func (c *client) submit(argv []string) error {
 	var (
 		configPath = fs.String("config", "", "submit a full ExperimentConfig from this JSON file (overrides the flags below)")
 		timeout    = fs.Float64("timeout", 0, "per-job deadline in seconds (0 = daemon default)")
-		policy     = fs.String("policy", "tls-rr", "scheduling policy: fifo | tls-one | tls-rr | tls-lpf | static-rate | tls-las | tls-srsf | tls-interleave")
+		policy     = fs.String("policy", "tls-rr", "scheduling policy, "+tensorlights.PolicyUsage())
 		placement  = fs.Int("placement", 1, "Table I placement index (1-8)")
 		custom     = fs.String("custom-placement", "", "custom PS placement (overrides -placement)")
 		model      = fs.String("model", "resnet32", "model from the zoo")
@@ -156,7 +156,7 @@ func (c *client) submit(argv []string) error {
 			return fmt.Errorf("parse %s: %w", *configPath, err)
 		}
 	} else {
-		pol, err := parsePolicy(*policy)
+		pol, err := tensorlights.ParsePolicy(*policy)
 		if err != nil {
 			return err
 		}
@@ -282,26 +282,4 @@ func printStatus(st *server.JobStatus, withResult bool) {
 		fmt.Printf("  simulated %.1f s in %d events, avg JCT %.1f s\n",
 			st.Result.SimulatedSeconds, st.Result.Events, st.Result.AvgJCT)
 	}
-}
-
-func parsePolicy(s string) (tensorlights.Policy, error) {
-	switch s {
-	case "fifo":
-		return tensorlights.FIFO, nil
-	case "tls-one", "one":
-		return tensorlights.TLsOne, nil
-	case "tls-rr", "rr":
-		return tensorlights.TLsRR, nil
-	case "tls-lpf", "lpf":
-		return tensorlights.TLsLPF, nil
-	case "static-rate", "rate":
-		return tensorlights.StaticRate, nil
-	case "tls-las", "las":
-		return tensorlights.TLsLAS, nil
-	case "tls-srsf", "srsf":
-		return tensorlights.TLsSRSF, nil
-	case "tls-interleave", "interleave":
-		return tensorlights.TLsInterleave, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q", s)
 }

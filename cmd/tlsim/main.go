@@ -59,7 +59,7 @@ func parseCrashes(s string) ([]tensorlights.WorkerCrash, error) {
 
 func main() {
 	var (
-		policy     = flag.String("policy", "fifo", "scheduling policy: fifo | tls-one | tls-rr | tls-lpf | static-rate | tls-las | tls-srsf | tls-interleave")
+		policy     = flag.String("policy", "fifo", "scheduling policy, "+tensorlights.PolicyUsage())
 		placement  = flag.Int("placement", 1, "Table I placement index (1-8)")
 		custom     = flag.String("custom-placement", "", `custom PS placement, e.g. "5, 16" (overrides -placement)`)
 		model      = flag.String("model", "resnet32", "model from the zoo")
@@ -123,26 +123,9 @@ func main() {
 		return
 	}
 
-	var pol tensorlights.Policy
-	switch *policy {
-	case "fifo":
-		pol = tensorlights.FIFO
-	case "tls-one", "one":
-		pol = tensorlights.TLsOne
-	case "tls-rr", "rr":
-		pol = tensorlights.TLsRR
-	case "tls-lpf", "lpf":
-		pol = tensorlights.TLsLPF
-	case "static-rate", "rate":
-		pol = tensorlights.StaticRate
-	case "tls-las", "las":
-		pol = tensorlights.TLsLAS
-	case "tls-srsf", "srsf":
-		pol = tensorlights.TLsSRSF
-	case "tls-interleave", "interleave":
-		pol = tensorlights.TLsInterleave
-	default:
-		fmt.Fprintf(os.Stderr, "tlsim: unknown policy %q\n", *policy)
+	pol, err := tensorlights.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tlsim: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -20,10 +20,10 @@ import (
 )
 
 func main() {
-	for _, pol := range []core.Policy{core.PolicyOne, core.PolicyRR} {
+	for _, pol := range []string{core.PolicyOne, core.PolicyRR} {
 		p1, _ := cluster.PlacementByIndex(1)
 		res, err := sweep.Run(sweep.RunConfig{
-			Label:         pol.String(),
+			Label:         pol,
 			TargetSteps:   2000,
 			Placement:     p1,
 			TLs:           core.Config{Policy: pol, IntervalSec: 10},

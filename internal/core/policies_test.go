@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/policy"
 	"repro/internal/qdisc"
 	"repro/internal/simnet"
 )
@@ -106,7 +107,9 @@ func TestJobProgressUnknownJobIgnored(t *testing.T) {
 }
 
 func TestNewPolicyStrings(t *testing.T) {
-	if PolicyLPF.String() != "TLs-LPF" || PolicyStaticRate.String() != "StaticRate" {
-		t.Fatal("policy names")
+	for _, name := range []string{PolicyLPF, PolicyStaticRate} {
+		if got := policy.Canonical(name); got != name {
+			t.Errorf("%q resolves to registry name %q", name, got)
+		}
 	}
 }

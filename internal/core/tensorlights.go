@@ -25,87 +25,38 @@ import (
 	"repro/internal/trace"
 )
 
-// Policy selects the priority assignment mode.
-type Policy int
-
+// Registry names of the paper's policies and of TLs-LPF. Config.Policy
+// may name any registered policy, these included.
 const (
 	// PolicyFIFO disables TensorLights: the NIC keeps its default FIFO
 	// qdisc. This is the paper's baseline.
-	PolicyFIFO Policy = iota
+	PolicyFIFO = "FIFO"
 	// PolicyOne is TLs-One: a static priority order, reconfigured only
 	// on job arrival and departure.
-	PolicyOne
+	PolicyOne = "TLs-One"
 	// PolicyRR is TLs-RR: the priority order rotates every Interval.
-	PolicyRR
+	PolicyRR = "TLs-RR"
 	// PolicyLPF is an adaptive extension beyond the paper: every
 	// Interval, jobs are re-ranked least-progress-first, so whichever
 	// job has fallen behind gets the green light next. It pursues
 	// TLs-RR's fairness goal with feedback instead of blind rotation.
-	PolicyLPF
+	PolicyLPF = "TLs-LPF"
 	// PolicyStaticRate is the paper's §VII transmission-layer
 	// alternative: each contending job is pinned to an equal static
 	// rate share (rate = ceil = link/N). It is NOT work-conserving —
 	// when a job is idle its share is wasted — which is exactly the
 	// drawback the paper warns about; the ablation benchmark
 	// quantifies it.
-	PolicyStaticRate
+	PolicyStaticRate = "StaticRate"
 )
-
-// String names the policy as in the paper.
-func (p Policy) String() string {
-	switch p {
-	case PolicyFIFO:
-		return "FIFO"
-	case PolicyOne:
-		return "TLs-One"
-	case PolicyRR:
-		return "TLs-RR"
-	case PolicyLPF:
-		return "TLs-LPF"
-	case PolicyStaticRate:
-		return "StaticRate"
-	}
-	return fmt.Sprintf("Policy(%d)", int(p))
-}
-
-// Order selects how contending jobs are ranked into priority bands.
-// The paper deliberately does not constrain this choice (§IV-B).
-type Order int
-
-const (
-	// OrderArrival ranks by job arrival; deterministic and what grid
-	// search (identical update sizes) effectively gets.
-	OrderArrival Order = iota
-	// OrderRandom shuffles ranks once per (re)configuration.
-	OrderRandom
-	// OrderSmallestUpdate gives smaller model updates higher priority,
-	// avoiding head-of-line blocking behind big updates.
-	OrderSmallestUpdate
-)
-
-// String names the order.
-func (o Order) String() string {
-	switch o {
-	case OrderArrival:
-		return "arrival"
-	case OrderRandom:
-		return "random"
-	case OrderSmallestUpdate:
-		return "smallest-update"
-	}
-	return fmt.Sprintf("Order(%d)", int(o))
-}
 
 // Config tunes the controller. Zero values select the paper's settings.
 type Config struct {
-	// Policy selects a built-in policy by enum value; it resolves
-	// through the internal/policy registry by its String() name, so the
-	// historical call sites keep working unchanged.
-	Policy Policy
-	// PolicyName, when non-empty, overrides Policy with any registered
-	// policy name (e.g. "TLs-LAS", "TLs-SRSF", "TLs-Interleave").
-	// Unknown names fail Validate; New panics on them.
-	PolicyName string
+	// Policy is the internal/policy registry name of the priority
+	// policy (e.g. PolicyRR, "TLs-LAS"); lookup is case-insensitive and
+	// the "TLs-" prefix is optional. Empty selects PolicyFIFO. Unknown
+	// names fail Validate; New panics on them.
+	Policy string
 	// FeedbackIntervalSec is the telemetry sampling period used by
 	// feedback-driven policies; 0 selects the collector's default. The
 	// controller itself does not sample — the cluster layer builds the
@@ -117,8 +68,9 @@ type Config struct {
 	Bands int
 	// IntervalSec is the TLs-RR rotation period T (20 s in the paper).
 	IntervalSec float64
-	// Order ranks contending jobs into bands.
-	Order Order
+	// Order ranks contending jobs into bands. The paper deliberately
+	// does not constrain this choice (§IV-B).
+	Order policy.Order
 	// GuaranteeRateBps is each htb class's guaranteed rate (tiny, so
 	// borrowing priority dominates). Default 1 Mbit/s.
 	GuaranteeRateBps float64
@@ -140,6 +92,9 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
+	if c.Policy == "" {
+		c.Policy = PolicyFIFO
+	}
 	if c.Bands <= 0 {
 		c.Bands = 6
 	}
@@ -160,23 +115,15 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// policyName returns the effective registry name: PolicyName when set,
-// otherwise the enum value's canonical name.
-func (c *Config) policyName() string {
-	if c.PolicyName != "" {
-		return c.PolicyName
-	}
-	return c.Policy.String()
-}
-
 // Validate reports whether the configuration can be realized — today,
 // that the selected policy resolves in the internal/policy registry.
 // Callers taking user input (flags, sweep configs) should Validate
 // before New, which treats an unknown policy as a programming error.
-func (c *Config) Validate() error {
-	if !policy.Known(c.policyName()) {
+func (c Config) Validate() error {
+	c.fillDefaults()
+	if !policy.Known(c.Policy) {
 		return fmt.Errorf("tensorlights: unknown policy %q (registered: %s)",
-			c.policyName(), strings.Join(policy.Names(), ", "))
+			c.Policy, strings.Join(policy.Names(), ", "))
 	}
 	return nil
 }
@@ -320,10 +267,10 @@ func (c *Controller) emit(ev trace.Event) {
 func New(k *sim.Kernel, tcc *tc.Controller, rng *sim.RNG, cfg Config) *Controller {
 	cfg.fillDefaults()
 	stream := rng.Stream("tensorlights")
-	pol, err := policy.New(cfg.policyName(), policy.Params{
+	pol, err := policy.New(cfg.Policy, policy.Params{
 		Bands:       cfg.Bands,
 		IntervalSec: cfg.IntervalSec,
-		Order:       policy.Order(cfg.Order),
+		Order:       cfg.Order,
 		RNG:         stream,
 	})
 	if err != nil {
@@ -341,9 +288,6 @@ func New(k *sim.Kernel, tcc *tc.Controller, rng *sim.RNG, cfg Config) *Controlle
 		hosts:    make(map[int]*hostState),
 	}
 }
-
-// PolicyName returns the resolved policy's canonical name.
-func (c *Controller) PolicyName() string { return c.pol.Name() }
 
 // NeedsFeedback reports whether the resolved policy is feedback-driven
 // and a policy.Feedback should be attached before jobs arrive.

@@ -26,15 +26,17 @@ func job(id, host int) JobInfo {
 }
 
 func TestFIFOPolicyIsNoOp(t *testing.T) {
-	_, fab, ctl := newHarness(3, Config{Policy: PolicyFIFO})
-	ctl.JobArrived(job(0, 0))
-	ctl.JobArrived(job(1, 0))
-	if fab.Host(0).Egress.Qdisc().Kind() != "pfifo" {
-		t.Fatal("FIFO policy must not configure tc")
-	}
-	ctl.JobDeparted(0)
-	if ctl.Reconfigs() != 0 {
-		t.Fatal("FIFO policy reconfigured")
+	for _, name := range []string{PolicyFIFO, ""} { // empty means FIFO
+		_, fab, ctl := newHarness(3, Config{Policy: name})
+		ctl.JobArrived(job(0, 0))
+		ctl.JobArrived(job(1, 0))
+		if fab.Host(0).Egress.Qdisc().Kind() != "pfifo" {
+			t.Fatalf("policy %q: FIFO must not configure tc", name)
+		}
+		ctl.JobDeparted(0)
+		if ctl.Reconfigs() != 0 {
+			t.Fatalf("policy %q: FIFO reconfigured", name)
+		}
 	}
 }
 
@@ -173,7 +175,7 @@ func TestTLsOneDoesNotRotate(t *testing.T) {
 }
 
 func TestOrderSmallestUpdate(t *testing.T) {
-	_, fab, ctl := newHarness(2, Config{Policy: PolicyOne, Order: OrderSmallestUpdate})
+	_, fab, ctl := newHarness(2, Config{Policy: PolicyOne, Order: policy.OrderSmallestUpdate})
 	big := job(0, 0)
 	big.UpdateBytes = 100 << 20
 	small := job(1, 0)
@@ -190,7 +192,7 @@ func TestOrderSmallestUpdate(t *testing.T) {
 
 func TestOrderRandomIsDeterministicPerSeed(t *testing.T) {
 	collect := func() []qdisc.ClassID {
-		_, fab, ctl := newHarness(2, Config{Policy: PolicyOne, Order: OrderRandom})
+		_, fab, ctl := newHarness(2, Config{Policy: PolicyOne, Order: policy.OrderRandom})
 		for i := 0; i < 6; i++ {
 			ctl.JobArrived(job(i, 0))
 		}
@@ -267,16 +269,14 @@ func TestTraceEventsEmitted(t *testing.T) {
 	}
 }
 
-func TestPolicyAndOrderStrings(t *testing.T) {
-	if PolicyFIFO.String() != "FIFO" || PolicyOne.String() != "TLs-One" || PolicyRR.String() != "TLs-RR" {
-		t.Fatal("policy names")
+func TestValidateResolvesRegistryNames(t *testing.T) {
+	for _, name := range []string{"", PolicyRR, "rr", "tls-interleave"} {
+		if err := (Config{Policy: name}).Validate(); err != nil {
+			t.Errorf("Validate(%q): %v", name, err)
+		}
 	}
-	if OrderArrival.String() != "arrival" || OrderRandom.String() != "random" ||
-		OrderSmallestUpdate.String() != "smallest-update" {
-		t.Fatal("order names")
-	}
-	if Policy(99).String() == "" || Order(99).String() == "" {
-		t.Fatal("unknown enum strings")
+	if err := (Config{Policy: "no-such-policy"}).Validate(); err == nil {
+		t.Error("Validate accepted an unregistered policy")
 	}
 }
 

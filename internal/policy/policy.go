@@ -21,9 +21,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Order selects how static policies rank contending jobs into bands.
-// Values mirror core.Order (the paper deliberately leaves this choice
-// open, §IV-B).
+// Order selects how static policies rank contending jobs into bands
+// (the paper deliberately leaves this choice open, §IV-B).
 type Order int
 
 const (

@@ -10,10 +10,15 @@ import (
 // Factory builds a policy instance from construction parameters.
 type Factory func(Params) Policy
 
+// entry is one registered policy: its canonical name and factory.
+type entry struct {
+	name string
+	f    Factory
+}
+
 var (
-	regMu     sync.RWMutex
-	factories = map[string]Factory{} // normalized name -> factory
-	canonical []string               // canonical names, registration order
+	regMu   sync.RWMutex
+	entries = map[string]entry{} // normalized name -> entry
 )
 
 // normalize makes lookup case-insensitive and tolerant of the usual
@@ -37,40 +42,44 @@ func Register(name string, f Factory) {
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, dup := factories[key]; dup {
+	if _, dup := entries[key]; dup {
 		panic(fmt.Sprintf("policy: %q already registered", name))
 	}
-	factories[key] = f
-	canonical = append(canonical, name)
+	entries[key] = entry{name, f}
 }
 
 // Known reports whether the name resolves to a registered policy.
-func Known(name string) bool {
+func Known(name string) bool { return Canonical(name) != "" }
+
+// Canonical returns the registered name a spelling resolves to ("rr"
+// and "tls-rr" both give "TLs-RR"), or "" when none does.
+func Canonical(name string) string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	_, ok := factories[normalize(name)]
-	return ok
+	return entries[normalize(name)].name
 }
 
 // New builds the named policy. Unknown names return an error listing
 // what is registered.
 func New(name string, p Params) (Policy, error) {
 	regMu.RLock()
-	f, ok := factories[normalize(name)]
+	e, ok := entries[normalize(name)]
 	regMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("policy: unknown policy %q (registered: %s)",
 			name, strings.Join(Names(), ", "))
 	}
-	return f(p), nil
+	return e.f(p), nil
 }
 
 // Names returns every registered policy's canonical name, sorted.
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]string, len(canonical))
-	copy(out, canonical)
+	out := make([]string, 0, len(entries))
+	for _, e := range entries {
+		out = append(out, e.name)
+	}
 	sort.Strings(out)
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -252,5 +253,28 @@ func TestHTTPBadSubmitBody(t *testing.T) {
 	var eb errorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
 		t.Fatalf("bad body error payload: %v %+v", err, eb)
+	}
+}
+
+func TestHTTPSubmitRejectsUnknownPolicy(t *testing.T) {
+	cfg := testConfig(t)
+	s, ts := httpServer(t, cfg)
+	for _, pol := range []tensorlights.Policy{42, -1} {
+		bad := expCfg(1)
+		bad.Policy = pol
+		resp, _ := postJob(t, ts, bad, "c1")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("policy %d: %d, want 400", pol, resp.StatusCode)
+		}
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions were admitted: %+v", jobs)
+	}
+	raw, err := os.ReadFile(cfg.JournalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 0 {
+		t.Fatalf("rejected submissions reached the journal:\n%s", raw)
 	}
 }

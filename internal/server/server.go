@@ -416,6 +416,9 @@ func (s *Server) Submit(cfg tensorlights.ExperimentConfig, timeoutSec float64, c
 	if cfg.TraceCSV != nil {
 		return nil, errors.New("server: TraceCSV is not supported for submitted jobs")
 	}
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
+	}
 	hash, err := HashConfig(cfg)
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dl"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/workload"
 )
 
@@ -20,10 +21,10 @@ type ChurnOptions struct {
 	ArrivalRatePerSec float64
 	Steps             int // per-job global step target
 	Seed              int64
-	Policy            core.Policy
+	Policy            string // registry name; "" runs FIFO
 	// Order selects the priority assignment order for TLs policies
 	// (OrderSmallestUpdate avoids head-of-line blocking in mixes).
-	Order       core.Order
+	Order       policy.Order
 	SchedPolicy cluster.SchedPolicy
 	Templates   []workload.JobTemplate
 	Cluster     cluster.Config
@@ -155,14 +156,14 @@ func (r *ChurnSweepResult) Render() string {
 // options. Churn's grid-search mix steps per job are a fifth of the
 // PS sweeps' target (its jobs run concurrently from staggered Poisson
 // arrivals, so the workload is already long).
-func churnSweepOptions(o Options, policy core.Policy) ChurnOptions {
+func churnSweepOptions(o Options, pol string) ChurnOptions {
 	return ChurnOptions{
 		Jobs:              12,
 		ArrivalRatePerSec: 1,
 		Steps:             o.Steps / 5,
 		Seed:              o.Seed,
-		Policy:            policy,
-		Order:             core.OrderSmallestUpdate,
+		Policy:            pol,
+		Order:             policy.OrderSmallestUpdate,
 		SchedPolicy:       cluster.PolicyBinpack,
 		Cluster:           o.Cluster,
 	}
@@ -172,18 +173,17 @@ func churnSweepOptions(o Options, policy core.Policy) ChurnOptions {
 // Engine (one trial per policy, each with its own kernel and RNG).
 func ChurnSweep(o Options) (*ChurnSweepResult, error) {
 	o.fillDefaults()
-	policies := []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
-	results, err := Gather(Engine{Parallelism: o.Parallelism}, policies,
-		func(pol core.Policy) (*ChurnResult, error) {
+	results, err := Gather(Engine{Parallelism: o.Parallelism}, paperPolicies,
+		func(pol string) (*ChurnResult, error) {
 			return Churn(churnSweepOptions(o, pol))
 		})
 	if err != nil {
 		return nil, err
 	}
 	out := &ChurnSweepResult{}
-	for i, pol := range policies {
+	for i, pol := range paperPolicies {
 		out.Rows = append(out.Rows, ChurnSweepRow{
-			Policy:        pol.String(),
+			Policy:        pol,
 			AvgJCT:        results[i].AvgJCT,
 			P95JCT:        results[i].P95JCT,
 			MakespanSec:   results[i].MakespanSec,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dl"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 )
 
 // Scenario labels for the collective-workload experiment.
@@ -78,17 +79,14 @@ func (r *CollectiveResult) Render() string {
 			row.AllReduceAvg, row.Reconfigs)
 	}
 	out := t.String()
-	if fifo, ok1 := r.Row(ScenarioMixed, core.PolicyRR.String()); ok1 {
-		if base, ok2 := r.Row(ScenarioMixed, core.PolicyFIFO.String()); ok2 && base.P95JCT > 0 {
+	if fifo, ok1 := r.Row(ScenarioMixed, core.PolicyRR); ok1 {
+		if base, ok2 := r.Row(ScenarioMixed, core.PolicyFIFO); ok2 && base.P95JCT > 0 {
 			out += fmt.Sprintf("mixed cluster: TLs-RR p95 JCT %.4g s vs FIFO %.4g s (%.0f%% reduction)\n",
 				fifo.P95JCT, base.P95JCT, 100*(1-fifo.P95JCT/base.P95JCT))
 		}
 	}
 	return out
 }
-
-// collectivePolicies are the policies the experiment compares.
-var collectivePolicies = []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
 
 // collectiveRunConfigs builds the experiment's 2 scenarios x 3 policies.
 func collectiveRunConfigs(o Options) ([]RunConfig, error) {
@@ -106,15 +104,15 @@ func collectiveRunConfigs(o Options) ([]RunConfig, error) {
 	// stuck behind collective elephants, and TLs-RR rotates fast enough
 	// (relative to the scaled-down job length; the paper's 20 s assumes
 	// hour-long jobs) that every ring sees high-priority windows.
-	tls := func(pol core.Policy) core.Config {
-		cfg := core.Config{Policy: pol, Order: core.OrderSmallestUpdate}
+	tls := func(pol string) core.Config {
+		cfg := core.Config{Policy: pol, Order: policy.OrderSmallestUpdate}
 		if pol == core.PolicyRR {
 			cfg.IntervalSec = float64(o.Steps) / 200
 		}
 		return cfg
 	}
 	var rcs []RunConfig
-	for _, pol := range collectivePolicies {
+	for _, pol := range paperPolicies {
 		rings, err := cluster.RingPlacement(collectiveRings+1, collectiveRanks, collectiveHosts, 0)
 		if err != nil {
 			return nil, err
@@ -126,7 +124,7 @@ func collectiveRunConfigs(o Options) ([]RunConfig, error) {
 			CollectiveSpecs: cluster.CollectiveSpecs(dl.AlexNet, rings, collective.Ring, 1, iters),
 		})
 	}
-	for _, pol := range collectivePolicies {
+	for _, pol := range paperPolicies {
 		rings, err := cluster.RingPlacement(collectiveRings, collectiveRanks, collectiveHosts, 0)
 		if err != nil {
 			return nil, err
@@ -161,13 +159,13 @@ func Collective(o Options) (*CollectiveResult, error) {
 	out := &CollectiveResult{}
 	for i, res := range results {
 		scenario := ScenarioAllReduce
-		if i >= len(collectivePolicies) {
+		if i >= len(paperPolicies) {
 			scenario = ScenarioMixed
 		}
 		pooled := append(append([]float64(nil), res.JCTs...), res.CollectiveJCTs...)
 		out.Rows = append(out.Rows, CollectiveRow{
 			Scenario:     scenario,
-			Policy:       collectivePolicies[i%len(collectivePolicies)].String(),
+			Policy:       paperPolicies[i%len(paperPolicies)],
 			AvgJCT:       metrics.Mean(pooled),
 			P95JCT:       metrics.Percentile(pooled, 0.95),
 			PSAvg:        metrics.Mean(res.JCTs),

@@ -83,7 +83,7 @@ func TestCollectiveShape(t *testing.T) {
 		if row.AvgJCT <= 0 || row.P95JCT < row.AvgJCT*0.5 {
 			t.Fatalf("degenerate row %+v", row)
 		}
-		if row.Policy == core.PolicyFIFO.String() {
+		if row.Policy == core.PolicyFIFO {
 			if row.Reconfigs != 0 {
 				t.Fatalf("FIFO reconfigured tc: %+v", row)
 			}
@@ -96,16 +96,16 @@ func TestCollectiveShape(t *testing.T) {
 	}
 	// On the all-reduce-only cluster prioritization pipelines the rings:
 	// TLs-One must beat FIFO's average JCT clearly.
-	fifoAR, _ := r.Row(ScenarioAllReduce, core.PolicyFIFO.String())
-	oneAR, _ := r.Row(ScenarioAllReduce, core.PolicyOne.String())
+	fifoAR, _ := r.Row(ScenarioAllReduce, core.PolicyFIFO)
+	oneAR, _ := r.Row(ScenarioAllReduce, core.PolicyOne)
 	if oneAR.AvgJCT >= fifoAR.AvgJCT*0.95 {
 		t.Fatalf("TLs-One avg %.2f vs FIFO %.2f on all-reduce cluster",
 			oneAR.AvgJCT, fifoAR.AvgJCT)
 	}
 	// The headline acceptance criterion: on the mixed PS + all-reduce
 	// contention scenario TLs-RR reduces the p95 JCT below FIFO's.
-	fifoMix, ok1 := r.Row(ScenarioMixed, core.PolicyFIFO.String())
-	rrMix, ok2 := r.Row(ScenarioMixed, core.PolicyRR.String())
+	fifoMix, ok1 := r.Row(ScenarioMixed, core.PolicyFIFO)
+	rrMix, ok2 := r.Row(ScenarioMixed, core.PolicyRR)
 	if !ok1 || !ok2 {
 		t.Fatal("missing mixed rows")
 	}

@@ -66,9 +66,6 @@ func (r *FaultRecoveryResult) Render() string {
 	return out
 }
 
-// faultRecoveryPolicies are the policies the experiment compares.
-var faultRecoveryPolicies = []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
-
 // FaultRecoveryPlan derives the experiment's fault schedule from the
 // fault-free FIFO average JCT, so the same relative fault pressure
 // applies at any -steps scale: PS hosts flap periodically through 90%
@@ -122,7 +119,7 @@ func FaultRecovery(o Options) (*FaultRecoveryResult, error) {
 
 	// Phase 1: fault-free baselines (also calibrate the fault schedule).
 	var cleanRCs []RunConfig
-	for _, pol := range faultRecoveryPolicies {
+	for _, pol := range paperPolicies {
 		rc := o.baseRun(p1, pol)
 		rc.Label = fmt.Sprintf("%s-clean", pol)
 		cleanRCs = append(cleanRCs, rc)
@@ -139,7 +136,7 @@ func FaultRecovery(o Options) (*FaultRecoveryResult, error) {
 	// Phase 2: the same workload under the seeded fault schedule. The tc
 	// retry/reconcile knobs scale with T so repairs land within the run.
 	var faultedRCs []RunConfig
-	for _, pol := range faultRecoveryPolicies {
+	for _, pol := range paperPolicies {
 		rc := o.baseRun(p1, pol)
 		rc.Label = fmt.Sprintf("%s-faulted", pol)
 		rc.Faults = plan
@@ -155,10 +152,10 @@ func FaultRecovery(o Options) (*FaultRecoveryResult, error) {
 	}
 
 	out := &FaultRecoveryResult{Plan: plan}
-	for i, pol := range faultRecoveryPolicies {
+	for i, pol := range paperPolicies {
 		c, f := clean[i], faulted[i]
 		out.Rows = append(out.Rows, FaultRecoveryRow{
-			Policy:             pol.String(),
+			Policy:             pol,
 			CleanAvgJCT:        c.AvgJCT(),
 			FaultedAvgJCT:      f.AvgJCT(),
 			Slowdown:           metrics.Ratio(f.AvgJCT(), c.AvgJCT()),

@@ -35,7 +35,11 @@ func (o *Options) fillDefaults() {
 	o.Cluster.Seed = o.Seed
 }
 
-func (o Options) baseRun(p cluster.Placement, policy core.Policy) RunConfig {
+// paperPolicies are the three policies the paper evaluates, in the
+// order every paper-figure experiment runs and reports them.
+var paperPolicies = []string{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
+
+func (o Options) baseRun(p cluster.Placement, policy string) RunConfig {
 	return RunConfig{
 		Label:       fmt.Sprintf("%s-p%d", policy, p.Index),
 		Cluster:     o.Cluster,
@@ -318,7 +322,7 @@ func Figure5b(o Options) (*Figure5bResult, error) {
 	p1, _ := cluster.PlacementByIndex(1)
 	var rcs []RunConfig
 	for _, b := range Figure5bBatches {
-		for _, pol := range []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR} {
+		for _, pol := range paperPolicies {
 			rc := o.baseRun(p1, pol)
 			rc.LocalBatch = b
 			rc.Label = fmt.Sprintf("%s-batch%d", pol, b)
@@ -387,9 +391,8 @@ func (r *Figure6Result) Render() string {
 func Figure6(o Options) (*Figure6Result, error) {
 	o.fillDefaults()
 	p1, _ := cluster.PlacementByIndex(1)
-	policies := []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
 	var rcs []RunConfig
-	for _, pol := range policies {
+	for _, pol := range paperPolicies {
 		rcs = append(rcs, o.baseRun(p1, pol))
 	}
 	results, err := RunMany(rcs, o.Parallelism)
@@ -397,8 +400,7 @@ func Figure6(o Options) (*Figure6Result, error) {
 		return nil, err
 	}
 	out := &Figure6Result{Means: map[string]WaitDist{}, Vars: map[string]WaitDist{}}
-	for i, pol := range policies {
-		name := pol.String()
+	for i, name := range paperPolicies {
 		out.Means[name] = WaitDist{
 			Label:   "avg wait " + name,
 			Samples: results[i].BarrierMeans,
@@ -449,9 +451,8 @@ func (r *TableIIResult) Render() string {
 func TableII(o Options) (*TableIIResult, error) {
 	o.fillDefaults()
 	p1, _ := cluster.PlacementByIndex(1)
-	policies := []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
 	var rcs []RunConfig
-	for _, pol := range policies {
+	for _, pol := range paperPolicies {
 		rc := o.baseRun(p1, pol)
 		rc.SampleUtilEvery = 1
 		rcs = append(rcs, rc)

@@ -96,7 +96,7 @@ func policyRunConfigs(o Options) []RunConfig {
 			TargetSteps: o.Steps,
 			Placement:   p1,
 			TLs: core.Config{
-				PolicyName:  name,
+				Policy:      name,
 				IntervalSec: interval,
 				// Sample telemetry twice per re-ranking so every Rank
 				// call sees fresh attained-service and phase estimates.

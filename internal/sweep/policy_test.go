@@ -73,7 +73,7 @@ func TestAdaptivePolicySurvivesCrashes(t *testing.T) {
 			TargetSteps: 300,
 			Placement:   p,
 			TLs: core.Config{
-				PolicyName:          "TLs-LAS",
+				Policy:              "TLs-LAS",
 				IntervalSec:         1.5,
 				FeedbackIntervalSec: 0.75,
 			},

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/metrics"
 )
 
@@ -143,16 +142,9 @@ func (r *ReplicateResult) Render() string {
 func ReplicateSweep(o Options) (*ReplicateResult, error) {
 	o.fillDefaults()
 	p1, _ := cluster.PlacementByIndex(1)
-	policies := []core.Policy{core.PolicyFIFO, core.PolicyOne, core.PolicyRR}
-	names := make([]string, len(policies))
-	byName := map[string]core.Policy{}
-	for i, pol := range policies {
-		names[i] = pol.String()
-		byName[names[i]] = pol
-	}
-	trials := GridTrials(nil, names, o.Seed, ReplicateSeeds)
+	trials := GridTrials(nil, paperPolicies, o.Seed, ReplicateSeeds)
 	results, err := Gather(Engine{Parallelism: o.Parallelism}, trials, func(t Trial) (*RunResult, error) {
-		rc := o.baseRun(p1, byName[t.Policy])
+		rc := o.baseRun(p1, t.Policy)
 		rc.Cluster.Seed = t.Seed
 		rc.Label = fmt.Sprintf("%s-seed%d", t.Policy, t.Seed)
 		return Run(rc)
@@ -160,7 +152,7 @@ func ReplicateSweep(o Options) (*ReplicateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &ReplicateResult{Policies: names}
+	out := &ReplicateResult{Policies: append([]string(nil), paperPolicies...)}
 	for i, t := range trials {
 		out.Rows = append(out.Rows, ReplicateRow{
 			Policy:          t.Policy,
@@ -171,7 +163,7 @@ func ReplicateSweep(o Options) (*ReplicateResult, error) {
 			Events:          results[i].Events,
 		})
 	}
-	for pi := range names {
+	for pi := range paperPolicies {
 		vals := make([]float64, ReplicateSeeds)
 		for s := 0; s < ReplicateSeeds; s++ {
 			vals[s] = out.Rows[pi*ReplicateSeeds+s].AvgJCT

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dl"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/simnet"
 )
 
@@ -160,7 +161,7 @@ func topologyRunConfigs(o Options) ([]RunConfig, error) {
 // smallest-update-first ordering and rotation/telemetry periods scaled
 // to the shortened run.
 func topologyTLs(name string, steps int) core.Config {
-	cfg := core.Config{PolicyName: name, Order: core.OrderSmallestUpdate}
+	cfg := core.Config{Policy: name, Order: policy.OrderSmallestUpdate}
 	interval := float64(steps) / 200
 	switch name {
 	case "FIFO", "TLs-One":

@@ -47,8 +47,10 @@ echo "serve-smoke: submitting tiny experiment and waiting"
 "$WORK/tlctl" -addr "$BASE" submit -policy tls-rr -jobs 2 \
     -custom-placement 2 -steps 100 -seed 3 -wait
 
+# The resubmission spells the policy by its alias, so the cache hit also
+# proves "rr" and "tls-rr" resolve to the same config hash.
 echo "serve-smoke: identical resubmission must be a cache hit"
-OUT="$("$WORK/tlctl" -addr "$BASE" submit -policy tls-rr -jobs 2 \
+OUT="$("$WORK/tlctl" -addr "$BASE" submit -policy rr -jobs 2 \
     -custom-placement 2 -steps 100 -seed 3)"
 echo "$OUT"
 case "$OUT" in

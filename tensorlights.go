@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
@@ -35,6 +36,7 @@ import (
 	"repro/internal/dl"
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/simnet"
 	"repro/internal/sweep"
@@ -77,42 +79,59 @@ const (
 	TLsInterleave
 )
 
-// String names the policy as the paper does.
+// policyNames maps each Policy to its internal/policy registry name,
+// the only identity a policy has below this package. The int values are
+// kept only because they are tlsimd's JSON, journal and config-hash
+// encoding.
+var policyNames = [...]string{
+	FIFO:          "FIFO",
+	TLsOne:        "TLs-One",
+	TLsRR:         "TLs-RR",
+	TLsLPF:        "TLs-LPF",
+	StaticRate:    "StaticRate",
+	TLsLAS:        "TLs-LAS",
+	TLsSRSF:       "TLs-SRSF",
+	TLsInterleave: "TLs-Interleave",
+}
+
+// String names the policy as the paper does (its registry name).
 func (p Policy) String() string {
-	if n := p.adaptiveName(); n != "" {
-		return n
+	if p.Validate() != nil {
+		return fmt.Sprintf("Policy(%d)", int(p))
 	}
-	return p.core().String()
+	return policyNames[p]
 }
 
-// adaptiveName returns the registry name for telemetry-driven policies
-// that have no core.Policy enum value, "" otherwise.
-func (p Policy) adaptiveName() string {
-	switch p {
-	case TLsLAS:
-		return "TLs-LAS"
-	case TLsSRSF:
-		return "TLs-SRSF"
-	case TLsInterleave:
-		return "TLs-Interleave"
-	default:
-		return ""
+// Validate rejects values outside the Policy constants above, such as
+// a submitted JSON config with "Policy": 42.
+func (p Policy) Validate() error {
+	if p < 0 || int(p) >= len(policyNames) {
+		return fmt.Errorf("tensorlights: unknown policy %d (want 0..%d)", int(p), len(policyNames)-1)
 	}
+	return nil
 }
 
-func (p Policy) core() core.Policy {
-	switch p {
-	case TLsOne:
-		return core.PolicyOne
-	case TLsRR:
-		return core.PolicyRR
-	case TLsLPF:
-		return core.PolicyLPF
-	case StaticRate:
-		return core.PolicyStaticRate
-	default:
-		return core.PolicyFIFO
+// PolicyUsage describes the names ParsePolicy accepts, for flag help.
+func PolicyUsage() string {
+	return `case-insensitive, "tls-" optional: ` + strings.Join(policyNames[:], " | ")
+}
+
+// ParsePolicy resolves a policy name through the registry's normaliser,
+// so lookup is case-insensitive and the "tls-" prefix is optional:
+// "TLs-RR", "tls-rr" and "rr" all give TLsRR. "rate" is accepted as a
+// short spelling of StaticRate.
+func ParsePolicy(s string) (Policy, error) {
+	if strings.EqualFold(s, "rate") {
+		s = "StaticRate"
 	}
+	if name := policy.Canonical(s); name != "" {
+		for p, n := range policyNames {
+			if n == name {
+				return Policy(p), nil
+			}
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (%s)", s, PolicyUsage())
 }
 
 // ExperimentConfig describes one grid-search experiment: NumJobs
@@ -408,6 +427,9 @@ func RunExperiment(cfg ExperimentConfig) (*Result, error) {
 // written, preceded by a "# partial trace" comment line so a truncated
 // dump can never be mistaken for a complete run.
 func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*Result, error) {
+	if err := cfg.Policy.Validate(); err != nil {
+		return nil, err
+	}
 	switch cfg.FabricMode {
 	case "", simnet.ModeChunk, simnet.ModeFlow:
 	default:
@@ -597,16 +619,11 @@ func toRunConfig(cfg ExperimentConfig) (sweep.RunConfig, error) {
 		Placement:   placement,
 		Async:       cfg.Async,
 		TLs: core.Config{
-			Policy:              cfg.Policy.core(),
+			Policy:              cfg.Policy.String(),
 			Bands:               cfg.Bands,
 			IntervalSec:         cfg.RotateIntervalSec,
 			FeedbackIntervalSec: cfg.FeedbackIntervalSec,
 		},
-	}
-	// Adaptive policies have no core.Policy enum value; they resolve by
-	// registry name. The sweep layer attaches their Feedback collector.
-	if name := cfg.Policy.adaptiveName(); name != "" {
-		rc.TLs.PolicyName = name
 	}
 	if cfg.MeasureUtilization {
 		rc.SampleUtilEvery = 1

@@ -182,7 +182,7 @@ func TestToRunConfigMapping(t *testing.T) {
 	if rc.TLs.Bands != 4 || rc.TLs.IntervalSec != 7 {
 		t.Fatalf("TLs config %+v", rc.TLs)
 	}
-	if rc.TLs.Policy.String() != "TLs-RR" {
+	if rc.TLs.Policy != "TLs-RR" {
 		t.Fatal("policy mapping")
 	}
 }
@@ -547,6 +547,14 @@ func TestReproduceSchedulerSmall(t *testing.T) {
 	for _, want := range []string{"contention-aware", "phase-aware", "spread", "naive spread avg JCT"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("ReproduceScheduler output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunExperimentRejectsUnknownPolicy(t *testing.T) {
+	for _, pol := range []Policy{42, -1} {
+		if _, err := RunExperiment(ExperimentConfig{Policy: pol, Steps: 100}); err == nil {
+			t.Errorf("Policy(%d) ran instead of failing", int(pol))
 		}
 	}
 }
