@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-module qdisc-bench-smoke fuzz examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+.PHONY: build test vet staticcheck race check bench bench-module qdisc-bench-smoke fuzz examples serve-smoke runner-smoke flow-equiv
 
 build:
 	$(GO) build ./...
@@ -37,17 +37,15 @@ examples:
 serve-smoke:
 	GO=$(GO) sh scripts/serve_smoke.sh
 
-# scheduler-smoke runs the online cluster-scheduler sweep at smoke
-# scale through the real experiments CLI, so the placement x end-host
-# policy grid can't rot between releases.
-scheduler-smoke:
-	$(GO) run ./cmd/experiments -steps 300 -only scheduler -parallel 4
-
-# openworld-smoke runs the open-world sweep at smoke scale through the
-# real experiments CLI: arrival process x host heterogeneity x end-host
-# policy over one unified PS+collective arrival stream.
-openworld-smoke:
-	$(GO) run ./cmd/experiments -steps 300 -only openworld -parallel 4
+# runner-smoke drives every front end of the sweep package's scenario
+# runner at smoke scale through the real CLIs: churn's pinned arrivals,
+# the fault-recovery grid, the scheduler and open-world online trials,
+# and faults on a mixed PS plus collective run.
+runner-smoke:
+	for e in churn faultrec scheduler openworld; do \
+		$(GO) run ./cmd/experiments -steps 300 -only $$e -parallel 4 || exit 1; \
+	done
+	$(GO) run ./cmd/tlsim -steps 300 -workload mixed -fault-crash 0:3:2,1000:1:2 -fault-flap-ps
 
 # flow-equiv runs the golden equivalence harness: every golden config is
 # simulated on both the chunk fabric and the analytic flow fabric and the
@@ -66,7 +64,7 @@ bench-module:
 qdisc-bench-smoke:
 	$(GO) test ./internal/qdisc -run '^$$' -bench . -benchtime 1x
 
-check: build vet staticcheck test race bench-module qdisc-bench-smoke examples serve-smoke scheduler-smoke openworld-smoke flow-equiv
+check: build vet staticcheck test race bench-module qdisc-bench-smoke examples serve-smoke runner-smoke flow-equiv
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -216,13 +215,9 @@ func BenchmarkAblationPSAwarePlacement(b *testing.B) {
 			b.Fatal(err)
 		}
 		colocated = r1.AvgJCT()
-		// A PS-aware scheduler spreads the 21 PSes uniformly.
-		sched := cluster.NewScheduler(cluster.PolicyPSAware, 21, 12, sim.NewRNG(42))
-		psHosts, _, err := sched.PlaceJobs(21, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		placement := cluster.PSPlacementOf(psHosts)
+		// A PS-aware scheduler spreads the 21 PSes uniformly: Table I's
+		// #8 (workload's TestGenerateSpreadIsPlacement8).
+		placement, _ := cluster.PlacementByIndex(8)
 		r8, err := sweep.Run(sweep.RunConfig{
 			Placement: placement, TargetSteps: benchSteps, Cluster: cluster.Config{Seed: 42},
 		})
@@ -323,7 +318,7 @@ func BenchmarkChurnArrivalDeparture(b *testing.B) {
 			ArrivalRatePerSec: 1,
 			Steps:             benchSteps,
 			Seed:              42,
-			SchedPolicy:       cluster.PolicyBinpack,
+			SchedPolicy:       workload.PolicyBinpack,
 		}
 		fifoOpts := base
 		fifoOpts.Policy = core.PolicyFIFO
@@ -355,7 +350,7 @@ func BenchmarkAblationSmallestUpdateFirst(b *testing.B) {
 			Seed:              42,
 			Policy:            core.PolicyOne,
 			Order:             order,
-			SchedPolicy:       cluster.PolicyBinpack,
+			SchedPolicy:       workload.PolicyBinpack,
 			Templates:         workload.HeterogeneousMix(benchSteps),
 		})
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/dl"
-	"repro/internal/sim"
 )
 
 func TestPlacements21TableI(t *testing.T) {
@@ -219,113 +218,6 @@ func TestLaunchRejectsBadSpec(t *testing.T) {
 	_, err := tb.Launch([]dl.JobSpec{{ID: 0}}, 0.1, nil)
 	if err == nil {
 		t.Fatal("bad spec accepted")
-	}
-}
-
-func TestSchedulerSpread(t *testing.T) {
-	s := NewScheduler(PolicySpread, 4, 12, sim.NewRNG(1))
-	hosts := map[int]int{}
-	for i := 0; i < 8; i++ {
-		h, err := s.Place(TaskReq{JobID: i, Kind: KindWorker, CPUDemand: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hosts[h]++
-	}
-	for h := 0; h < 4; h++ {
-		if hosts[h] != 2 {
-			t.Fatalf("spread imbalanced: %v", hosts)
-		}
-	}
-}
-
-func TestSchedulerBinpack(t *testing.T) {
-	s := NewScheduler(PolicyBinpack, 4, 12, sim.NewRNG(1))
-	first, _ := s.Place(TaskReq{CPUDemand: 1})
-	second, _ := s.Place(TaskReq{CPUDemand: 1})
-	if first != second {
-		t.Fatalf("binpack spread tasks: %d then %d", first, second)
-	}
-}
-
-func TestSchedulerPSAware(t *testing.T) {
-	s := NewScheduler(PolicyPSAware, 4, 12, sim.NewRNG(1))
-	psHosts := map[int]int{}
-	for i := 0; i < 8; i++ {
-		h, err := s.Place(TaskReq{JobID: i, Kind: KindPS, CPUDemand: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		psHosts[h]++
-	}
-	for h := 0; h < 4; h++ {
-		if psHosts[h] != 2 {
-			t.Fatalf("ps-aware did not spread PSes: %v", psHosts)
-		}
-	}
-	if s.PSCount(0) != 2 {
-		t.Fatal("PSCount")
-	}
-}
-
-func TestSchedulerRandomRespectsExclusion(t *testing.T) {
-	s := NewScheduler(PolicyRandom, 4, 12, sim.NewRNG(1))
-	for i := 0; i < 50; i++ {
-		h, err := s.Place(TaskReq{CPUDemand: 0.1, Exclude: []int{0, 1, 2}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h != 3 {
-			t.Fatalf("excluded host %d chosen", h)
-		}
-	}
-}
-
-func TestSchedulerNoHostAvailable(t *testing.T) {
-	s := NewScheduler(PolicySpread, 2, 12, sim.NewRNG(1))
-	if _, err := s.Place(TaskReq{Exclude: []int{0, 1}}); err == nil {
-		t.Fatal("exhausted exclusion accepted")
-	}
-}
-
-func TestPlaceJobs(t *testing.T) {
-	s := NewScheduler(PolicyPSAware, 21, 12, sim.NewRNG(1))
-	psHosts, workerHosts, err := s.PlaceJobs(21, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(psHosts) != 21 || len(workerHosts) != 21 {
-		t.Fatal("sizes")
-	}
-	for j := range psHosts {
-		for _, w := range workerHosts[j] {
-			if w == psHosts[j] {
-				t.Fatalf("job %d worker on its PS host", j)
-			}
-		}
-	}
-	// PS-aware placement of 21 jobs on 21 hosts is Table I's #8.
-	p := PSPlacementOf(psHosts)
-	if p.MaxColocation() != 1 {
-		t.Fatalf("ps-aware placement %v", p)
-	}
-}
-
-func TestPSPlacementOf(t *testing.T) {
-	p := PSPlacementOf([]int{0, 0, 0, 1, 1, 2})
-	if p.String() != "3, 2, 1" {
-		t.Fatalf("got %q", p.String())
-	}
-}
-
-func TestKindAndPolicyStrings(t *testing.T) {
-	if KindPS.String() != "ps" || KindWorker.String() != "worker" {
-		t.Fatal("kind strings")
-	}
-	for _, p := range []SchedPolicy{PolicySpread, PolicyBinpack, PolicyRandom, PolicyPSAware} {
-		if p.String() == "" {
-			t.Fatal("policy string empty")
-		}
 	}
 }
 

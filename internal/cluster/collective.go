@@ -70,36 +70,13 @@ func CollectiveSpecs(m dl.Model, rings [][]int, alg collective.Algorithm,
 	return specs
 }
 
-// LaunchCollective creates the all-reduce jobs and schedules their
-// starts staggerSec apart, mirroring Launch. onStart, if non-nil, fires
-// at each job's start time — TensorLights hooks job arrivals here.
-func (tb *Testbed) LaunchCollective(specs []collective.JobSpec, staggerSec float64,
-	onStart func(*collective.Job)) ([]*collective.Job, error) {
-	jobs := make([]*collective.Job, len(specs))
-	for i, spec := range specs {
-		j, err := collective.NewJob(tb.Env, spec)
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = j
-	}
-	for i, j := range jobs {
-		j := j
-		tb.K.Post(tb.K.Now()+float64(i)*staggerSec, func() {
-			j.Start()
-			if onStart != nil {
-				onStart(j)
-			}
-		})
-	}
-	return jobs, nil
-}
-
 // RunMixedToCompletionCtx drives the kernel via RunUntil until every PS
 // job and every collective job finishes or fails (a job that lost all
 // its workers never reaches Done). It returns ctx's error on
 // cancellation, and the event-budget error, with the count of
-// unfinished jobs, when maxEvents (0 = 500M) runs out first.
+// unfinished jobs, when maxEvents (0 = 500M) runs out first. With
+// Launch it composes a run by hand: the reference the sweep package's
+// scenario runner is checked against.
 func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, cjobs []*collective.Job, maxEvents uint64) error {
 	allDone := func() bool {
 		for _, j := range jobs {

@@ -19,6 +19,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/collective"
@@ -266,17 +267,33 @@ func (in *Injector) TCOutage(host int, at, durSec float64) {
 		})
 }
 
-// CrashWorker kills the job's worker at `at`. The job's PS notices via
-// its barrier watchdog (JobSpec.Recovery.DetectTimeoutSec) and restarts
+// Jobs is a run's job set as a fault plan sees it. Apply dates each
+// crash against its job's arrival through it before the run, and a
+// crash looks its job up by ID when it fires, so the jobs need not
+// exist when the plan is applied.
+type Jobs interface {
+	// ArrivalSec returns when the job with this ID arrives.
+	ArrivalSec(id int) float64
+	// PSJob and CollectiveJob return the admitted job with this ID, or
+	// nil before it arrives.
+	PSJob(id int) *dl.Job
+	CollectiveJob(id int) *collective.Job
+}
+
+// CrashWorker kills worker `worker` of PS job id at `at`, resolving the
+// job through jobs when the crash fires. The job's PS notices via its
+// barrier watchdog (JobSpec.Recovery.DetectTimeoutSec) and restarts
 // the worker after its backoff, or degrades to the survivors once the
-// restart budget is exhausted. Crashes scheduled after the job already
-// finished or failed are silently skipped.
-func (in *Injector) CrashWorker(j *dl.Job, worker int, at float64) {
+// restart budget is exhausted. Apply rejects a crash aimed before its
+// job arrives; one landing after the job finished or failed is
+// silently skipped.
+func (in *Injector) CrashWorker(jobs Jobs, id, worker int, at float64) {
 	if now := in.k.Now(); at < now {
 		at = now
 	}
 	in.k.Post(at, func() {
-		if j.Done() || j.Failed() {
+		j := jobs.PSJob(id)
+		if j == nil || j.Done() || j.Failed() {
 			return
 		}
 		in.counts.Crashes++
@@ -284,19 +301,21 @@ func (in *Injector) CrashWorker(j *dl.Job, worker int, at float64) {
 	})
 }
 
-// CrashPeer kills rank `rank` of the collective job at `at`. Unlike a
-// PS worker crash, this wedges the entire ring: every surviving rank's
-// all-reduce stalls within one step. The job's own failure detector
+// CrashPeer kills rank `rank` of collective job id at `at`, resolving
+// the job through jobs when the crash fires. Unlike a PS worker crash,
+// this wedges the entire ring: every surviving rank's all-reduce
+// stalls within one step. The job's own failure detector
 // (JobSpec.Recovery) notices the stall, restarts the peer and re-runs
 // the iteration — or fails the job once the budget is exhausted.
-// Crashes scheduled after the job already finished or failed are
-// silently skipped.
-func (in *Injector) CrashPeer(j *collective.Job, rank int, at float64) {
+// Apply rejects a crash aimed before its job arrives; one landing
+// after the job finished or failed is silently skipped.
+func (in *Injector) CrashPeer(jobs Jobs, id, rank int, at float64) {
 	if now := in.k.Now(); at < now {
 		at = now
 	}
 	in.k.Post(at, func() {
-		if j.Done() || j.Failed() {
+		j := jobs.CollectiveJob(id)
+		if j == nil || j.Done() || j.Failed() {
 			return
 		}
 		in.counts.PeerCrashes++
@@ -306,7 +325,7 @@ func (in *Injector) CrashPeer(j *collective.Job, rank int, at float64) {
 
 // CrashPlan schedules one worker crash.
 type CrashPlan struct {
-	Job    int     // job ID (key into Apply's jobs map)
+	Job    int     // job ID
 	Worker int     // worker index within the job
 	AtSec  float64 // crash time
 }
@@ -326,8 +345,8 @@ type CoreLinkPlan struct {
 // of the flap schedule (e.g. a management-path outage with the data
 // path healthy).
 type OutagePlan struct {
-	// Host is the target host ID; -1 targets every PS host passed to
-	// Apply.
+	// Host is the target host ID; -1 targets every host running a PS
+	// of the specs passed to Apply.
 	Host   int
 	AtSec  float64
 	DurSec float64
@@ -336,8 +355,9 @@ type OutagePlan struct {
 // Plan is a declarative fault schedule, the form experiments configure.
 // The zero value injects nothing. Apply expands it into injector calls.
 type Plan struct {
-	// FlapPSHosts flaps every parameter-server host passed to Apply —
-	// the paper's most contended hosts, where a flap hurts the most.
+	// FlapPSHosts flaps every host running a PS of the specs passed to
+	// Apply — the paper's most contended hosts, where a flap hurts the
+	// most.
 	FlapPSHosts bool
 	// FlapHosts flaps these additional host IDs.
 	FlapHosts []int
@@ -369,8 +389,8 @@ type Plan struct {
 	HorizonSec float64
 	// Crashes lists worker crashes to schedule.
 	Crashes []CrashPlan
-	// PeerCrashes lists collective-rank crashes to schedule: Job keys
-	// into Apply's collective jobs map, Worker is the rank index.
+	// PeerCrashes lists collective-rank crashes to schedule: Job names
+	// a collective job, Worker is the rank index.
 	PeerCrashes []CrashPlan
 	// TCOutages lists standalone tc outages to schedule.
 	TCOutages []OutagePlan
@@ -454,15 +474,14 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// Apply expands the plan into scheduled faults. psHosts are the
-// parameter-server hosts flapped when FlapPSHosts is set; jobs maps
-// PS-job ID to job for crash scheduling, and cjobs maps collective-job
-// ID to job for peer-crash scheduling (either may be nil when the plan
-// touches no job of that kind). Hosts are deduplicated and processed
-// in ascending order so the jitter draws — and thus the schedule — are
+// Apply expands the plan into scheduled faults against a run whose
+// PS jobs are specs and collective jobs are cspecs. It rejects a crash
+// naming an unknown job, a worker or rank out of range, or a time
+// before the job arrives, and flaps the hosts running the specs' PSes
+// when FlapPSHosts is set. Hosts are deduplicated and processed in
+// ascending order so the jitter draws — and thus the schedule — are
 // deterministic for a given seed.
-func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
-	cjobs map[int]*collective.Job) error {
+func (in *Injector) Apply(p Plan, specs []dl.JobSpec, cspecs []collective.JobSpec, jobs Jobs) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
@@ -470,21 +489,11 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 		return fmt.Errorf("faults: plan requests tc outages but injector has no tc controller")
 	}
 	if p.flapping() {
-		hostSet := make(map[int]bool)
+		hosts := p.FlapHosts
 		if p.FlapPSHosts {
-			for _, h := range psHosts {
-				hostSet[h] = true
-			}
+			hosts = append(psHosts(specs), hosts...)
 		}
-		for _, h := range p.FlapHosts {
-			hostSet[h] = true
-		}
-		hosts := make([]int, 0, len(hostSet))
-		for h := range hostSet {
-			hosts = append(hosts, h)
-		}
-		sort.Ints(hosts)
-		for _, h := range hosts {
+		for _, h := range dedupSorted(hosts) {
 			for t := p.FlapFirstAtSec; t < p.HorizonSec; t += p.FlapEverySec {
 				at := t
 				if p.FlapJitterSec > 0 {
@@ -517,7 +526,7 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 	}
 	for _, o := range p.TCOutages {
 		if o.Host == -1 {
-			for _, h := range dedupSorted(psHosts) {
+			for _, h := range dedupSorted(psHosts(specs)) {
 				in.TCOutage(h, o.AtSec, o.DurSec)
 			}
 			continue
@@ -525,28 +534,53 @@ func (in *Injector) Apply(p Plan, psHosts []int, jobs map[int]*dl.Job,
 		in.TCOutage(o.Host, o.AtSec, o.DurSec)
 	}
 	for i, c := range p.Crashes {
-		j, ok := jobs[c.Job]
-		if !ok {
+		k := slices.IndexFunc(specs, func(s dl.JobSpec) bool { return s.ID == c.Job })
+		if k < 0 {
 			return fmt.Errorf("faults: Crashes[%d] names unknown job %d", i, c.Job)
 		}
-		if c.Worker < 0 || c.Worker >= j.Spec.NumWorkers {
+		if n := specs[k].NumWorkers; c.Worker >= n {
 			return fmt.Errorf("faults: Crashes[%d] names worker %d, but job %d has %d workers",
-				i, c.Worker, c.Job, j.Spec.NumWorkers)
+				i, c.Worker, c.Job, n)
 		}
-		in.CrashWorker(j, c.Worker, c.AtSec)
+		if err := beforeArrival("Crashes", i, c, jobs); err != nil {
+			return err
+		}
+		in.CrashWorker(jobs, c.Job, c.Worker, c.AtSec)
 	}
 	for i, c := range p.PeerCrashes {
-		j, ok := cjobs[c.Job]
-		if !ok {
+		k := slices.IndexFunc(cspecs, func(s collective.JobSpec) bool { return s.ID == c.Job })
+		if k < 0 {
 			return fmt.Errorf("faults: PeerCrashes[%d] names unknown collective job %d", i, c.Job)
 		}
-		if c.Worker < 0 || c.Worker >= j.N() {
+		if n := len(cspecs[k].Hosts); c.Worker >= n {
 			return fmt.Errorf("faults: PeerCrashes[%d] names rank %d, but job %d has %d ranks",
-				i, c.Worker, c.Job, j.N())
+				i, c.Worker, c.Job, n)
 		}
-		in.CrashPeer(j, c.Worker, c.AtSec)
+		if err := beforeArrival("PeerCrashes", i, c, jobs); err != nil {
+			return err
+		}
+		in.CrashPeer(jobs, c.Job, c.Worker, c.AtSec)
 	}
 	return nil
+}
+
+// beforeArrival rejects a crash timed before its job arrives: it would
+// strike a job that is not running yet.
+func beforeArrival(field string, i int, c CrashPlan, jobs Jobs) error {
+	if at := jobs.ArrivalSec(c.Job); c.AtSec < at {
+		return fmt.Errorf("faults: %s[%d] crashes job %d at %g s, before it arrives at %g s",
+			field, i, c.Job, c.AtSec, at)
+	}
+	return nil
+}
+
+// psHosts returns each spec's PS host.
+func psHosts(specs []dl.JobSpec) []int {
+	hosts := make([]int, len(specs))
+	for i, s := range specs {
+		hosts[i] = s.PSHost
+	}
+	return hosts
 }
 
 // dedupSorted returns the unique host IDs in ascending order.

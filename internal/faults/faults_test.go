@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/dl"
 	"repro/internal/simnet"
@@ -32,11 +33,47 @@ func jobSpec(id, steps int) dl.JobSpec {
 	}
 }
 
+// launchStagger spaces the arrivals of the jobs launch starts.
+const launchStagger = 0.01
+
+// launched is the Jobs view of the PS jobs launch started: job i
+// arrives at i*launchStagger.
+type launched []*dl.Job
+
+func (l launched) ArrivalSec(id int) float64 {
+	for i, j := range l {
+		if j.Spec.ID == id {
+			return float64(i) * launchStagger
+		}
+	}
+	return 0
+}
+
+func (l launched) PSJob(id int) *dl.Job {
+	for _, j := range l {
+		if j.Spec.ID == id {
+			return j
+		}
+	}
+	return nil
+}
+
+func (launched) CollectiveJob(int) *collective.Job { return nil }
+
+// specs returns the launched jobs' specs.
+func (l launched) specs() []dl.JobSpec {
+	specs := make([]dl.JobSpec, len(l))
+	for i, j := range l {
+		specs[i] = j.Spec
+	}
+	return specs
+}
+
 // launch starts the specs and, when ctl is non-nil, wires arrivals and
 // departures the way internal/sweep does.
-func launch(t *testing.T, tb *cluster.Testbed, specs []dl.JobSpec, ctl *core.Controller) []*dl.Job {
+func launch(t *testing.T, tb *cluster.Testbed, specs []dl.JobSpec, ctl *core.Controller) launched {
 	t.Helper()
-	jobs, err := tb.Launch(specs, 0.01, func(j *dl.Job) {
+	jobs, err := tb.Launch(specs, launchStagger, func(j *dl.Job) {
 		if ctl != nil {
 			ctl.JobArrived(core.JobInfo{
 				ID: j.Spec.ID, PSHost: j.Spec.PSHost, PSPort: j.Spec.PSPort,
@@ -185,7 +222,7 @@ func TestCrashPlanRestartsWorker(t *testing.T) {
 	jobs := launch(t, tb, []dl.JobSpec{jobSpec(0, 10)}, nil)
 	inj := New(tb.K, tb.RNG, tb.Fabric, nil)
 	plan := Plan{Crashes: []CrashPlan{{Job: 0, Worker: 1, AtSec: 0.4 * ref}}}
-	if err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil); err != nil {
+	if err := inj.Apply(plan, jobs.specs(), nil, jobs); err != nil {
 		t.Fatal(err)
 	}
 	runToCompletion(t, tb, jobs)
@@ -289,7 +326,7 @@ func fullScenario(t *testing.T) string {
 		HorizonSec:      8,
 		Crashes:         []CrashPlan{{Job: 0, Worker: 2, AtSec: 2.0}},
 	}
-	if err := inj.Apply(plan, []int{0, 0}, map[int]*dl.Job{0: jobs[0], 1: jobs[1]}, nil); err != nil {
+	if err := inj.Apply(plan, jobs.specs(), nil, jobs); err != nil {
 		t.Fatal(err)
 	}
 	runToCompletion(t, tb, jobs)
@@ -351,23 +388,47 @@ func TestPlanValidate(t *testing.T) {
 func TestApplyRejectsBadTargets(t *testing.T) {
 	tb := testbed(1)
 	inj := New(tb.K, tb.RNG, tb.Fabric, nil)
-	if err := inj.Apply(Plan{Crashes: []CrashPlan{{Job: 9}}}, nil, nil, nil); err == nil {
+	if err := inj.Apply(Plan{Crashes: []CrashPlan{{Job: 9}}}, nil, nil, launched(nil)); err == nil {
 		t.Error("unknown crash job accepted")
 	}
 	jobs := launch(t, tb, []dl.JobSpec{jobSpec(0, 10)}, nil)
-	if err := inj.Apply(Plan{Crashes: []CrashPlan{{Job: 0, Worker: 99}}}, nil,
-		map[int]*dl.Job{0: jobs[0]}, nil); err == nil {
+	if err := inj.Apply(Plan{Crashes: []CrashPlan{{Job: 0, Worker: 99}}},
+		jobs.specs(), nil, jobs); err == nil {
 		t.Error("out-of-range crash worker accepted")
 	}
 	if err := inj.Apply(Plan{
 		FlapPSHosts: true, FlapEverySec: 1, FlapDurationSec: 0.1,
 		HorizonSec: 2, TCOutage: true,
-	}, []int{0}, nil, nil); err == nil {
+	}, jobs.specs(), nil, jobs); err == nil {
 		t.Error("tc outage accepted without a tc controller")
 	}
 	if err := inj.Apply(Plan{PeerCrashes: []CrashPlan{{Job: 1000}}},
-		nil, nil, nil); err == nil {
+		nil, nil, launched(nil)); err == nil {
 		t.Error("unknown peer-crash job accepted")
+	}
+}
+
+// TestApplyRejectsCrashBeforeArrival: a crash timed before its job
+// arrives would strike a job that is not running, so Apply rejects it,
+// naming the job, the crash time and the arrival time. A crash at the
+// arrival instant is accepted.
+func TestApplyRejectsCrashBeforeArrival(t *testing.T) {
+	tb := testbed(1)
+	inj := New(tb.K, tb.RNG, tb.Fabric, nil)
+	jobs := launch(t, tb, []dl.JobSpec{jobSpec(0, 10), jobSpec(1, 10)}, nil)
+	err := inj.Apply(Plan{Crashes: []CrashPlan{{Job: 1, Worker: 0, AtSec: 0.005}}},
+		jobs.specs(), nil, jobs)
+	if err == nil {
+		t.Fatal("crash before its job's arrival accepted")
+	}
+	for _, want := range []string{"job 1", "at 0.005 s", "arrives at 0.01 s"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+	if err := inj.Apply(Plan{Crashes: []CrashPlan{{Job: 1, Worker: 0, AtSec: launchStagger}}},
+		jobs.specs(), nil, jobs); err != nil {
+		t.Fatalf("crash at the arrival instant rejected: %v", err)
 	}
 }
 
@@ -394,7 +455,7 @@ func TestCoreLinkFlapDelaysCrossRackJob(t *testing.T) {
 		}
 		jobs := launch(t, tb, []dl.JobSpec{spec}, nil)
 		inj := New(tb.K, tb.RNG, tb.Fabric, nil)
-		if err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil); err != nil {
+		if err := inj.Apply(plan, jobs.specs(), nil, jobs); err != nil {
 			t.Fatal(err)
 		}
 		runToCompletion(t, tb, jobs)
@@ -443,7 +504,7 @@ func TestCoreLinkPlanValidation(t *testing.T) {
 	tb := testbed(1)
 	inj := New(tb.K, tb.RNG, tb.Fabric, nil)
 	if err := inj.Apply(Plan{CoreLinks: []CoreLinkPlan{{Link: 0, DurSec: 1}}},
-		nil, nil, nil); err == nil {
+		nil, nil, launched(nil)); err == nil {
 		t.Error("core-link fault on flat topology accepted")
 	}
 }
@@ -459,7 +520,7 @@ func TestApplyRejectsUnknownJobAmongKnown(t *testing.T) {
 		{Job: 0, Worker: 1, AtSec: 0.01},
 		{Job: 99, Worker: 0, AtSec: 0.01},
 	}}
-	err := inj.Apply(plan, nil, map[int]*dl.Job{0: jobs[0]}, nil)
+	err := inj.Apply(plan, jobs.specs(), nil, jobs)
 	if err == nil {
 		t.Fatal("Apply accepted an unknown job ID")
 	}

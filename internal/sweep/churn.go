@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dl"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -25,7 +24,7 @@ type ChurnOptions struct {
 	// Order selects the priority assignment order for TLs policies
 	// (OrderSmallestUpdate avoids head-of-line blocking in mixes).
 	Order       policy.Order
-	SchedPolicy cluster.SchedPolicy
+	SchedPolicy workload.SchedPolicy
 	Templates   []workload.JobTemplate
 	Cluster     cluster.Config
 }
@@ -62,44 +61,33 @@ func Churn(o ChurnOptions) (*ChurnResult, error) {
 	if len(wl.Templates) == 0 {
 		wl.Templates = workload.GridSearchMix(o.Steps)
 	}
-	arrivals, err := workload.Generate(wl, tb.RNG)
+	generated, err := workload.Generate(wl, tb.RNG)
 	if err != nil {
 		return nil, err
 	}
-	ctl := core.New(tb.K, tb.TC, tb.RNG, core.Config{Policy: o.Policy, Order: o.Order})
-
-	jobs := make([]*dl.Job, len(arrivals))
+	ctl, fb, err := newController(tb, core.Config{Policy: o.Policy, Order: o.Order}, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	arrs := make([]arrival, len(generated))
 	psPerHost := map[int]int{}
 	maxColoc := 0
-	for i, arr := range arrivals {
-		j, err := dl.NewJob(tb.Env, arr.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("churn job %d: %w", i, err)
-		}
-		jobs[i] = j
-		psPerHost[arr.Spec.PSHost]++
-		if psPerHost[arr.Spec.PSHost] > maxColoc {
-			maxColoc = psPerHost[arr.Spec.PSHost]
-		}
-		j.OnFinish = func(j *dl.Job) { ctl.JobDeparted(j.Spec.ID) }
-		j.OnBarrier = func(j *dl.Job, iter int) { ctl.JobProgress(j.Spec.ID, iter) }
-		spec := arr.Spec
-		job := j
-		tb.K.Post(arr.At, func() {
-			job.Start()
-			ctl.JobArrived(core.JobInfo{
-				ID:          spec.ID,
-				PSHost:      spec.PSHost,
-				PSPort:      spec.PSPort,
-				UpdateBytes: spec.Model.UpdateBytes(),
-			})
-		})
+	for i := range generated {
+		spec := &generated[i].Spec
+		arrs[i] = arrival{At: generated[i].At, PS: spec}
+		psPerHost[spec.PSHost]++
+		maxColoc = max(maxColoc, psPerHost[spec.PSHost])
 	}
-	if err := tb.RunMixedToCompletionCtx(context.Background(), jobs, nil, 0); err != nil {
+	r, err := newRunner(tb, ctl, fb, nil, arrs)
+	if err != nil {
+		return nil, fmt.Errorf("churn: %w", err)
+	}
+	if err := r.run(context.Background()); err != nil {
 		return nil, fmt.Errorf("churn: %w", err)
 	}
 
 	res := &ChurnResult{
+		JCTs:           r.jct,
 		Reconfigs:      ctl.Reconfigs(),
 		MaxColocation:  maxColoc,
 		MakespanSec:    tb.K.Now(),
@@ -107,12 +95,8 @@ func Churn(o ChurnOptions) (*ChurnResult, error) {
 		PerModelAvgJCT: map[string]float64{},
 	}
 	perModel := map[string][]float64{}
-	for _, j := range jobs {
-		if !j.Done() {
-			return nil, fmt.Errorf("churn: job %d unfinished", j.Spec.ID)
-		}
-		res.JCTs = append(res.JCTs, j.JCT())
-		perModel[j.Spec.Model.Name] = append(perModel[j.Spec.Model.Name], j.JCT())
+	for i, a := range generated {
+		perModel[a.Spec.Model.Name] = append(perModel[a.Spec.Model.Name], r.jct[i])
 	}
 	res.AvgJCT = metrics.Mean(res.JCTs)
 	res.P95JCT = metrics.Percentile(res.JCTs, 0.95)
@@ -164,7 +148,7 @@ func churnSweepOptions(o Options, pol string) ChurnOptions {
 		Seed:              o.Seed,
 		Policy:            pol,
 		Order:             policy.OrderSmallestUpdate,
-		SchedPolicy:       cluster.PolicyBinpack,
+		SchedPolicy:       workload.PolicyBinpack,
 		Cluster:           o.Cluster,
 	}
 }

@@ -16,7 +16,7 @@ func TestChurnFIFOCompletes(t *testing.T) {
 		Steps:             400,
 		Seed:              42,
 		Policy:            core.PolicyFIFO,
-		SchedPolicy:       cluster.PolicyRandom,
+		SchedPolicy:       workload.PolicyRandom,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestChurnTensorLightsReconfigures(t *testing.T) {
 		Steps:             400,
 		Seed:              42,
 		Policy:            core.PolicyOne,
-		SchedPolicy:       cluster.PolicyBinpack, // force colocation
+		SchedPolicy:       workload.PolicyBinpack, // force colocation
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestChurnTLsBeatsFIFOUnderColocation(t *testing.T) {
 		ArrivalRatePerSec: 2, // near-simultaneous -> strong contention
 		Steps:             600,
 		Seed:              7,
-		SchedPolicy:       cluster.PolicyBinpack,
+		SchedPolicy:       workload.PolicyBinpack,
 	}
 	fifoOpts := base
 	fifoOpts.Policy = core.PolicyFIFO
@@ -85,7 +85,7 @@ func TestChurnHeterogeneousMix(t *testing.T) {
 		ArrivalRatePerSec: 1,
 		Seed:              3,
 		Policy:            core.PolicyOne,
-		SchedPolicy:       cluster.PolicyRandom,
+		SchedPolicy:       workload.PolicyRandom,
 		Templates:         workload.HeterogeneousMix(300),
 	})
 	if err != nil {

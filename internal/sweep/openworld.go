@@ -3,14 +3,9 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/collective"
-	"repro/internal/core"
-	"repro/internal/dl"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -161,20 +156,15 @@ func OpenWorldTrial(ctx context.Context, cfg OpenWorldTrialConfig) (*OpenWorldTr
 	})
 }
 
-// runOnline is the online trial runner under OpenWorldTrial and
-// SchedulerTrial. It builds the leaf-spine testbed, the TensorLights
-// controller, a feedback collector and the cluster-scheduler tier, then
-// takes its arrivals from the arrivals front end, which draws them from
-// the testbed RNG given the per-job iteration count. At each arrival it
-// places the job, lowers it onto its runtime and wires it into the
-// controller and the collector; the run ends when every job finishes.
+// runOnline is the scenario runner's online front end, under
+// OpenWorldTrial and SchedulerTrial. It builds the leaf-spine testbed,
+// the controller, a feedback collector and the cluster-scheduler tier,
+// and hands the runner the arrivals, drawn from the testbed RNG given
+// the per-job iteration count, to place as they come.
 func runOnline(ctx context.Context, cfg OpenWorldTrialConfig,
 	arrivals func(rng *sim.RNG, iters int) ([]workload.OpenArrival, error)) (*OpenWorldTrialResult, error) {
 	cfg.fillDefaults()
-	iters := cfg.Steps / 30
-	if iters < 2 {
-		iters = 2
-	}
+	iters := max(cfg.Steps/30, 2)
 	topo := simnet.TopologyConfig{
 		Kind:             simnet.TopologyLeafSpine,
 		Racks:            schedRacks,
@@ -191,26 +181,12 @@ func runOnline(ctx context.Context, cfg OpenWorldTrialConfig,
 		HostSpeedFactors: speeds,
 		Net:              simnet.Config{Topology: topo, Mode: cfg.FabricMode},
 	})
-	tls := topologyTLs(cfg.PolicyName, cfg.Steps)
-	if err := tls.Validate(); err != nil {
-		return nil, err
-	}
-	ctl := core.New(tb.K, tb.TC, tb.RNG, tls)
-	// The trial always runs a Feedback collector: the phase-aware
+	// The trial always builds a Feedback collector: the phase-aware
 	// scheduler consumes its period EWMA even under end-host policies
 	// that do not need telemetry themselves.
-	fb := policy.NewFeedback(tb.K, policy.FeedbackConfig{
-		SampleIntervalSec: tls.FeedbackIntervalSec,
-	})
-	fb.Probe = cluster.NewQdiscProbe(tb.Fabric)
-	if cfg.Tracer != nil {
-		tb.Env.Tracer = cfg.Tracer
-		tb.Fabric.Tracer = cfg.Tracer
-		ctl.Tracer = cfg.Tracer
-		fb.Tracer = cfg.Tracer
-	}
-	if ctl.NeedsFeedback() {
-		ctl.AttachFeedback(fb)
+	ctl, fb, err := newController(tb, topologyTLs(cfg.PolicyName, cfg.Steps), cfg.Tracer, true)
+	if err != nil {
+		return nil, err
 	}
 	sched, err := scheduler.New(scheduler.Config{
 		Hosts:    schedHosts,
@@ -223,110 +199,31 @@ func runOnline(ctx context.Context, cfg OpenWorldTrialConfig,
 	if err != nil {
 		return nil, err
 	}
-	arrs, err := arrivals(tb.RNG, iters)
+	open, err := arrivals(tb.RNG, iters)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &OpenWorldTrialResult{JCTs: make([]float64, len(arrs))}
-	finished := 0
-	var trialErr error
-	fail := func(err error) {
-		if trialErr == nil {
-			trialErr = err
+	arrs := make([]arrival, len(open))
+	for i := range open {
+		arrs[i] = arrival{At: open[i].At, Place: &open[i].Spec}
+	}
+	r, err := newRunner(tb, ctl, fb, sched, arrs)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.run(ctx); err != nil {
+		return nil, fmt.Errorf("sweep: online trial: %w", err)
+	}
+	if r.failed > 0 {
+		return nil, fmt.Errorf("sweep: online trial: %d of %d jobs failed", r.failed, len(arrs))
+	}
+	res := &OpenWorldTrialResult{JCTs: r.jct}
+	for i := range arrs {
+		if r.ps[i] != nil {
+			res.PSJobs++
+		} else {
+			res.CollectiveJobs++
 		}
-	}
-	for i, arr := range arrs {
-		tb.K.Post(arr.At, func() {
-			now := tb.K.Now()
-			spec := arr.Spec
-			id := spec.RuntimeID()
-			dec, err := sched.Place(spec.SchedReq(), now)
-			if err != nil {
-				fail(fmt.Errorf("sweep: online placement of job %d: %w", id, err))
-				return
-			}
-			finish := func() {
-				res.JCTs[i] = tb.K.Now() - arr.At
-				ctl.JobDeparted(id)
-				fb.JobDeparted(id)
-				sched.Release(id)
-				finished++
-			}
-			jobFailed := func() {
-				fail(fmt.Errorf("sweep: online job %d failed", id))
-				finished++
-			}
-			progress := func(iter int) {
-				ctl.JobProgress(id, iter)
-				fb.OnProgress(id, iter)
-			}
-			info := core.JobInfo{
-				ID:          id,
-				UpdateBytes: spec.Model.UpdateBytes(),
-				TargetSteps: spec.Iterations,
-			}
-			var start func()
-			if spec.Kind.Collective() {
-				cspec, err := spec.LowerCollective(dec.Hosts)
-				if err != nil {
-					fail(err)
-					return
-				}
-				j, err := collective.NewJob(tb.Env, cspec)
-				if err != nil {
-					fail(err)
-					return
-				}
-				res.CollectiveJobs++
-				j.OnFinish = func(*collective.Job) { finish() }
-				j.OnFail = func(*collective.Job) { jobFailed() }
-				j.OnIteration = func(_ *collective.Job, iter int) { progress(iter) }
-				// Every rank sends from the job's port, so one JobInfo
-				// with SenderHosts = the ranks keys the whole job into a
-				// single band on each of its hosts.
-				info.PSHost, info.PSPort = dec.Hosts[0], j.Spec.Port
-				info.SenderHosts, info.Ports = dec.Hosts, []int{j.Spec.Port}
-				start = j.Start
-			} else {
-				pspec, err := spec.LowerPS(dec.Hosts)
-				if err != nil {
-					fail(err)
-					return
-				}
-				j, err := dl.NewJob(tb.Env, pspec)
-				if err != nil {
-					fail(err)
-					return
-				}
-				res.PSJobs++
-				j.OnFinish = func(*dl.Job) { finish() }
-				j.OnFail = func(*dl.Job) { jobFailed() }
-				j.OnBarrier = func(_ *dl.Job, iter int) { progress(iter) }
-				info.PSHost, info.PSPort = j.Spec.PSHost, j.Spec.PSPort
-				start = j.Start
-			}
-			tb.K.Post(now+dec.ShiftSec, func() {
-				start()
-				ctl.JobArrived(info)
-				fb.JobArrived(id)
-			})
-		})
-	}
-
-	total := len(arrs)
-	if err := tb.RunUntil(ctx, 0, func() bool { return finished >= total || trialErr != nil }); err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("sweep: online trial cancelled at sim time %.3f s: %w", tb.K.Now(), err)
-		}
-		return nil, fmt.Errorf("sweep: online trial stalled: %d/%d jobs finished: %w", finished, total, err)
-	}
-	if trialErr != nil {
-		return nil, trialErr
-	}
-	if finished < total {
-		return nil, fmt.Errorf("sweep: online trial stalled: %d/%d jobs finished after %d events",
-			finished, total, tb.K.Fired())
 	}
 
 	res.AvgJCT = metrics.Mean(res.JCTs)
@@ -335,17 +232,7 @@ func runOnline(ctx context.Context, cfg OpenWorldTrialConfig,
 	res.MakespanSec = tb.K.Now()
 	res.Events = tb.K.Fired()
 	res.ShiftedJobs, res.TotalShiftSec = sched.Shifts()
-	links, egress := linkTally(tb, res.MakespanSec)
-	var upBytes int64
-	for _, l := range links {
-		if strings.HasPrefix(l.Name, "leaf") {
-			upBytes += l.Bytes
-		}
-		res.MaxLinkUtil = max(res.MaxLinkUtil, l.Util)
-	}
-	if egress > 0 {
-		res.CrossRackRatio = float64(upBytes) / float64(egress)
-	}
+	res.CrossRackRatio, res.MaxLinkUtil = coreLoad(linkTally(tb, res.MakespanSec))
 	return res, nil
 }
 
@@ -457,9 +344,7 @@ func OpenWorldSweepContext(ctx context.Context, o Options) (*OpenWorldResult, er
 			}
 		}
 	}
-	results := make([]*OpenWorldTrialResult, len(cells))
-	err := Engine{Parallelism: o.Parallelism}.ForEachContext(ctx, len(cells), func(ctx context.Context, i int) error {
-		c := cells[i]
+	results, err := GatherContext(ctx, Engine{Parallelism: o.Parallelism}, cells, func(ctx context.Context, c cell) (*OpenWorldTrialResult, error) {
 		r, err := OpenWorldTrial(ctx, OpenWorldTrialConfig{
 			Steps:         o.Steps,
 			Seed:          o.Seed,
@@ -468,11 +353,10 @@ func OpenWorldSweepContext(ctx context.Context, o Options) (*OpenWorldResult, er
 			PolicyName:    c.pol,
 		})
 		if err != nil {
-			return fmt.Errorf("sweep: open-world cell (%s, %s, %s): %w",
+			return nil, fmt.Errorf("sweep: open-world cell (%s, %s, %s): %w",
 				c.arrivals, hostsLabel(c.hetero), c.pol, err)
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err

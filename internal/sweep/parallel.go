@@ -124,9 +124,17 @@ func safeTrial(ctx context.Context, i int, fn func(ctx context.Context, i int) e
 // Gather maps job over configs on the engine's pool and returns the
 // results in input order.
 func Gather[C, R any](e Engine, configs []C, job func(C) (R, error)) ([]R, error) {
+	return GatherContext(context.Background(), e, configs,
+		func(_ context.Context, c C) (R, error) { return job(c) })
+}
+
+// GatherContext is Gather with cancellation threaded through the
+// engine into every job.
+func GatherContext[C, R any](ctx context.Context, e Engine, configs []C,
+	job func(context.Context, C) (R, error)) ([]R, error) {
 	results := make([]R, len(configs))
-	err := e.ForEach(len(configs), func(i int) error {
-		r, err := job(configs[i])
+	err := e.ForEachContext(ctx, len(configs), func(ctx context.Context, i int) error {
+		r, err := job(ctx, configs[i])
 		if err != nil {
 			return fmt.Errorf("sweep: trial %d: %w", i, err)
 		}

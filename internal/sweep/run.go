@@ -9,6 +9,8 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -17,7 +19,6 @@ import (
 	"repro/internal/dl"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -160,6 +161,22 @@ func linkTally(tb *cluster.Testbed, simTime float64) (links []LinkStat, egress i
 	return links, egress
 }
 
+// coreLoad returns the leaf-uplink bytes over the NIC egress bytes
+// (the cross-rack ratio) and the busiest core link's utilization.
+func coreLoad(links []LinkStat, egress int64) (crossRack, maxUtil float64) {
+	var upBytes int64
+	for _, l := range links {
+		if strings.HasPrefix(l.Name, "leaf") {
+			upBytes += l.Bytes
+		}
+		maxUtil = max(maxUtil, l.Util)
+	}
+	if egress > 0 {
+		crossRack = float64(upBytes) / float64(egress)
+	}
+	return crossRack, maxUtil
+}
+
 // AvgJCT returns the mean job completion time.
 func (r *RunResult) AvgJCT() float64 { return metrics.Mean(r.JCTs) }
 
@@ -188,83 +205,33 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 			return nil, err
 		}
 	}
+	// PS jobs, then collective jobs, each staggered from t = 0.
+	cspecs := append([]collective.JobSpec(nil), rc.CollectiveSpecs...)
+	arrs := make([]arrival, 0, len(specs)+len(cspecs))
 	for i := range specs {
 		specs[i].Async = rc.Async
 		specs[i].ProgressEvery = rc.ProgressEvery
 		specs[i].ComputeJitterSigma = rc.ComputeJitterSigma
 		specs[i].GradCompression = rc.GradCompression
 		specs[i].Recovery = rc.Recovery
+		arrs = append(arrs, arrival{At: float64(i) * rc.StaggerSec, PS: &specs[i]})
 	}
-	if err := rc.TLs.Validate(); err != nil {
-		return nil, err
+	for i := range cspecs {
+		if cspecs[i].ComputeJitterSigma == 0 {
+			cspecs[i].ComputeJitterSigma = rc.ComputeJitterSigma
+		}
+		if cspecs[i].Recovery == (dl.RecoveryConfig{}) {
+			cspecs[i].Recovery = rc.Recovery
+		}
+		arrs = append(arrs, arrival{At: float64(i) * rc.StaggerSec, Collective: &cspecs[i]})
 	}
-	ctl := core.New(tb.K, tb.TC, tb.RNG, rc.TLs)
-	if rc.Tracer != nil {
-		tb.Env.Tracer = rc.Tracer
-		tb.Fabric.Tracer = rc.Tracer
-		ctl.Tracer = rc.Tracer
-	}
-	if ctl.NeedsFeedback() {
-		// Feedback-driven policies get a telemetry collector wired to
-		// the fabric. Legacy policies run without one, so their kernel
-		// event counts (and hence traces and CSVs) stay untouched.
-		fb := policy.NewFeedback(tb.K, policy.FeedbackConfig{
-			SampleIntervalSec: rc.TLs.FeedbackIntervalSec,
-		})
-		fb.Probe = cluster.NewQdiscProbe(tb.Fabric)
-		fb.Tracer = rc.Tracer
-		ctl.AttachFeedback(fb)
-	}
-	jobs, err := tb.Launch(specs, rc.StaggerSec, func(j *dl.Job) {
-		ctl.JobArrived(core.JobInfo{
-			ID:          j.Spec.ID,
-			PSHost:      j.Spec.PSHost,
-			PSPort:      j.Spec.PSPort,
-			UpdateBytes: j.Spec.Model.UpdateBytes(),
-			// TargetSteps is in iteration units to match the progress
-			// reported at each barrier: every synchronous iteration
-			// advances the global step count by one step per worker.
-			TargetSteps: (j.Spec.TargetGlobalSteps + j.Spec.NumWorkers - 1) / j.Spec.NumWorkers,
-		})
-		j.OnFinish = func(j *dl.Job) { ctl.JobDeparted(j.Spec.ID) }
-		j.OnFail = func(j *dl.Job) { ctl.JobDeparted(j.Spec.ID) }
-		j.OnBarrier = func(j *dl.Job, iter int) { ctl.JobProgress(j.Spec.ID, iter) }
-	})
+	ctl, fb, err := newController(tb, rc.TLs, rc.Tracer, false)
 	if err != nil {
 		return nil, err
 	}
-	var cjobs []*collective.Job
-	if len(rc.CollectiveSpecs) > 0 {
-		cspecs := make([]collective.JobSpec, len(rc.CollectiveSpecs))
-		copy(cspecs, rc.CollectiveSpecs)
-		for i := range cspecs {
-			if cspecs[i].ComputeJitterSigma == 0 {
-				cspecs[i].ComputeJitterSigma = rc.ComputeJitterSigma
-			}
-			if cspecs[i].Recovery == (dl.RecoveryConfig{}) {
-				cspecs[i].Recovery = rc.Recovery
-			}
-		}
-		// Every rank's flows carry the job's collective port as source
-		// port, so one JobInfo with SenderHosts = the ring keys the whole
-		// job into a single priority band on each of its hosts.
-		cjobs, err = tb.LaunchCollective(cspecs, rc.StaggerSec, func(j *collective.Job) {
-			ctl.JobArrived(core.JobInfo{
-				ID:          j.Spec.ID,
-				PSHost:      j.Spec.Hosts[0],
-				PSPort:      j.Spec.Port,
-				UpdateBytes: j.Spec.Model.UpdateBytes(),
-				SenderHosts: j.Spec.Hosts,
-				Ports:       []int{j.Spec.Port},
-				TargetSteps: j.Spec.TargetIterations,
-			})
-			j.OnFinish = func(j *collective.Job) { ctl.JobDeparted(j.Spec.ID) }
-			j.OnFail = func(j *collective.Job) { ctl.JobDeparted(j.Spec.ID) }
-			j.OnIteration = func(j *collective.Job, iter int) { ctl.JobProgress(j.Spec.ID, iter) }
-		})
-		if err != nil {
-			return nil, err
-		}
+	r, err := newRunner(tb, ctl, fb, nil, arrs)
+	if err != nil {
+		return nil, err
 	}
 	var inj *faults.Injector
 	if rc.Faults.Active() {
@@ -274,23 +241,7 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		}
 		inj = faults.New(tb.K, tb.RNG, tb.Fabric, tcc)
 		inj.Tracer = rc.Tracer
-		var psHosts []int
-		seen := map[int]bool{}
-		for _, s := range specs {
-			if !seen[s.PSHost] {
-				seen[s.PSHost] = true
-				psHosts = append(psHosts, s.PSHost)
-			}
-		}
-		jobByID := make(map[int]*dl.Job, len(jobs))
-		for _, j := range jobs {
-			jobByID[j.Spec.ID] = j
-		}
-		cjobByID := make(map[int]*collective.Job, len(cjobs))
-		for _, j := range cjobs {
-			cjobByID[j.Spec.ID] = j
-		}
-		if err := inj.Apply(rc.Faults, psHosts, jobByID, cjobByID); err != nil {
+		if err := inj.Apply(rc.Faults, specs, cspecs, r); err != nil {
 			return nil, err
 		}
 	}
@@ -300,17 +251,14 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		sampler.Tracer = rc.Tracer
 		sampler.Start()
 	}
-	runErr := tb.RunMixedToCompletionCtx(ctx, jobs, cjobs, 0)
+	runErr := r.run(ctx)
 	if sampler != nil {
 		sampler.Stop()
 	}
 	if runErr != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("sweep: run %q cancelled at sim time %.3f s: %w",
-				rc.Label, tb.K.Now(), runErr)
-		}
 		return nil, fmt.Errorf("sweep: run %q: %w", rc.Label, runErr)
 	}
+	jobs, cjobs := r.ps[:len(specs)], r.coll[len(specs):]
 
 	res := &RunResult{
 		Config:      rc,
@@ -321,23 +269,16 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		Reconfigs:   ctl.Reconfigs(),
 		Progress:    map[int][]dl.ProgressPoint{},
 	}
-	psSet := map[int]bool{}
-	for _, j := range jobs {
+	for i, j := range jobs {
+		res.Restarts += j.Restarts()
+		res.DegradedWorkers += j.DegradedWorkers()
 		if j.Failed() {
 			// Under fault injection a job may legitimately lose every
 			// worker; record it instead of failing the whole run.
 			res.FailedJobs = append(res.FailedJobs, j.Spec.ID)
-			res.Restarts += j.Restarts()
-			res.DegradedWorkers += j.DegradedWorkers()
 			continue
 		}
-		if !j.Done() {
-			return nil, fmt.Errorf("sweep: job %d did not finish (step %d/%d)",
-				j.Spec.ID, j.GlobalStep(), j.Spec.TargetGlobalSteps)
-		}
-		res.JCTs = append(res.JCTs, j.JCT())
-		res.Restarts += j.Restarts()
-		res.DegradedWorkers += j.DegradedWorkers()
+		res.JCTs = append(res.JCTs, r.jct[i])
 		for _, bs := range j.BarrierStats() {
 			res.BarrierMeans = append(res.BarrierMeans, bs.Mean)
 			res.BarrierVars = append(res.BarrierVars, bs.Variance)
@@ -345,20 +286,18 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 		if rc.ProgressEvery > 0 {
 			res.Progress[j.Spec.ID] = j.Progress()
 		}
-		psSet[j.Spec.PSHost] = true
+		res.PSHosts = append(res.PSHosts, j.Spec.PSHost)
 	}
-	for _, j := range cjobs {
+	slices.Sort(res.PSHosts)
+	res.PSHosts = slices.Compact(res.PSHosts)
+	for i, j := range cjobs {
 		res.Restarts += j.Restarts()
 		res.CollectiveStalls += j.Stalls()
 		if j.Failed() {
 			res.FailedJobs = append(res.FailedJobs, j.Spec.ID)
 			continue
 		}
-		if !j.Done() {
-			return nil, fmt.Errorf("sweep: collective job %d did not finish (iteration %d/%d)",
-				j.Spec.ID, j.Iterations(), j.Spec.TargetIterations)
-		}
-		res.CollectiveJCTs = append(res.CollectiveJCTs, j.JCT())
+		res.CollectiveJCTs = append(res.CollectiveJCTs, r.jct[len(specs)+i])
 	}
 	if inj != nil {
 		res.FaultCounts = inj.Counts()
@@ -366,30 +305,14 @@ func RunContext(ctx context.Context, rc RunConfig) (*RunResult, error) {
 	res.DroppedChunks = tb.Fabric.DroppedChunks()
 	res.TcRecovery = ctl.Stats()
 	res.LinkStats, res.EgressBytes = linkTally(tb, res.SimTime)
-	for h := 0; h < tb.Fabric.NumHosts(); h++ {
-		if psSet[h] {
-			res.PSHosts = append(res.PSHosts, h)
-		}
-	}
 	if sampler != nil && len(res.JCTs) > 0 {
 		// Active window: the paper uses [100 s, 1250 s] after launch,
 		// a period when all jobs are running. Scale it to the actual
 		// run length so short (test-sized) runs still measure steady
 		// state: [10%, 90%] of the earliest job finish, capped at the
 		// paper's window.
-		earliest := res.JCTs[0]
-		for _, j := range res.JCTs {
-			if j < earliest {
-				earliest = j
-			}
-		}
-		wStart, wEnd := 0.1*earliest, 0.9*earliest
-		if wStart > 100 {
-			wStart = 100
-		}
-		if wEnd > 1250 {
-			wEnd = 1250
-		}
+		earliest := slices.Min(res.JCTs)
+		wStart, wEnd := min(0.1*earliest, 100), min(0.9*earliest, 1250)
 		utils, err := sampler.Window(wStart, wEnd)
 		if err != nil {
 			return nil, err
@@ -412,17 +335,5 @@ func RunMany(rcs []RunConfig, parallelism int) ([]*RunResult, error) {
 // in-flight simulations stop between events, so a long grid can be
 // abandoned mid-sweep (SIGINT in tlsim, drain/deadline in tlsimd).
 func RunManyContext(ctx context.Context, rcs []RunConfig, parallelism int) ([]*RunResult, error) {
-	results := make([]*RunResult, len(rcs))
-	err := Engine{Parallelism: parallelism}.ForEachContext(ctx, len(rcs), func(ctx context.Context, i int) error {
-		r, err := RunContext(ctx, rcs[i])
-		if err != nil {
-			return fmt.Errorf("sweep: run %d (%s): %w", i, rcs[i].Label, err)
-		}
-		results[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return GatherContext(ctx, Engine{Parallelism: parallelism}, rcs, RunContext)
 }

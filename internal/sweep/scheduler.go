@@ -216,9 +216,7 @@ func SchedulerSweepContext(ctx context.Context, o Options) (*SchedulerResult, er
 			}
 		}
 	}
-	results := make([]*OpenWorldTrialResult, len(cells))
-	err := Engine{Parallelism: o.Parallelism}.ForEachContext(ctx, len(cells), func(ctx context.Context, i int) error {
-		c := cells[i]
+	results, err := GatherContext(ctx, Engine{Parallelism: o.Parallelism}, cells, func(ctx context.Context, c cell) (*OpenWorldTrialResult, error) {
 		r, err := SchedulerTrial(ctx, SchedulerTrialConfig{
 			Steps:      o.Steps,
 			Seed:       o.Seed,
@@ -227,11 +225,10 @@ func SchedulerSweepContext(ctx context.Context, o Options) (*SchedulerResult, er
 			PolicyName: c.pol,
 		})
 		if err != nil {
-			return fmt.Errorf("sweep: scheduler cell (%g, %s, %s): %w",
+			return nil, fmt.Errorf("sweep: scheduler cell (%g, %s, %s): %w",
 				c.oversub, c.place, c.pol, err)
 		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
 	if err != nil {
 		return nil, err

@@ -122,10 +122,7 @@ func (r *TopologyResult) Render() string {
 
 // topologyRunConfigs builds the oversub x strategy x policy grid.
 func topologyRunConfigs(o Options) ([]RunConfig, error) {
-	iters := o.Steps / 30
-	if iters < 2 {
-		iters = 2
-	}
+	iters := max(o.Steps/30, 2)
 	var rcs []RunConfig
 	for _, ov := range TopologyOversubs {
 		topo := simnet.TopologyConfig{
@@ -190,20 +187,7 @@ func TopologySweep(o Options) (*TopologyResult, error) {
 			for _, pol := range topologyPolicyNames {
 				res := results[i]
 				i++
-				var upBytes int64
-				maxUtil := 0.0
-				for _, ls := range res.LinkStats {
-					if len(ls.Name) >= 4 && ls.Name[:4] == "leaf" {
-						upBytes += ls.Bytes
-					}
-					if ls.Util > maxUtil {
-						maxUtil = ls.Util
-					}
-				}
-				ratio := 0.0
-				if res.EgressBytes > 0 {
-					ratio = float64(upBytes) / float64(res.EgressBytes)
-				}
+				ratio, maxUtil := coreLoad(res.LinkStats, res.EgressBytes)
 				out.Rows = append(out.Rows, TopologyRow{
 					Oversub:        ov,
 					Strategy:       string(strat),

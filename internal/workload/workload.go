@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/dl"
 	"repro/internal/sim"
 )
@@ -48,14 +47,79 @@ type ChurnConfig struct {
 	Templates []JobTemplate
 	// Hosts is the cluster size (default 21).
 	Hosts int
-	// SlotsPerHost is the flat scheduler's per-host CPU slot capacity
-	// in threads (default 12, the paper's dual-hyperthreaded 6-core
-	// hosts). It was a hardcoded magic number inside Generate before.
-	SlotsPerHost float64
 	// SchedPolicy places each arriving job's PS (production clusters
 	// are PS-agnostic, so colocation arises naturally under
-	// PolicyRandom; PolicyPSAware is the paper's §VII fix).
-	SchedPolicy cluster.SchedPolicy
+	// PolicyRandom; PolicySpread never colocates while hosts remain,
+	// which is the paper's §VII PS-aware fix).
+	SchedPolicy SchedPolicy
+}
+
+// SchedPolicy selects the host Generate places each arriving job's PS
+// on.
+type SchedPolicy int
+
+const (
+	// PolicySpread places on the host with the fewest PSes.
+	PolicySpread SchedPolicy = iota
+	// PolicyBinpack places on the host with the most PSes that still
+	// has room for one more.
+	PolicyBinpack
+	// PolicyRandom places uniformly at random.
+	PolicyRandom
+)
+
+// slotsPerHost is the paper's hardware threads per host (six
+// dual-hyperthreaded cores). Each PS demands half a thread, and
+// binpack fills a host up to twice its threads, as the paper's
+// testbed oversubscribes its CPUs: a host has room for 4*slotsPerHost
+// PSes.
+const slotsPerHost = 12
+
+// psPlacer places Generate's PS tasks by counting PSes per host.
+type psPlacer struct {
+	policy SchedPolicy
+	count  []int
+	rng    *sim.RNG
+}
+
+// place picks a host under the placer's policy, breaking ties towards
+// the lowest host id, and charges it one PS.
+func (p *psPlacer) place() (int, error) {
+	h := -1
+	switch p.policy {
+	case PolicySpread:
+		for i, c := range p.count {
+			if h < 0 || c < p.count[h] {
+				h = i
+			}
+		}
+	case PolicyBinpack:
+		h = p.fullest(true)
+		if h < 0 {
+			h = p.fullest(false)
+		}
+	case PolicyRandom:
+		h = p.rng.Intn(len(p.count))
+	default:
+		return -1, fmt.Errorf("workload: unknown PS placement policy %d", int(p.policy))
+	}
+	p.count[h]++
+	return h, nil
+}
+
+// fullest returns the host with the most PSes, only among hosts with
+// room for one more when room is set, or -1 when none qualifies.
+func (p *psPlacer) fullest(room bool) int {
+	h := -1
+	for i, c := range p.count {
+		if room && c >= 4*slotsPerHost {
+			continue
+		}
+		if h < 0 || c > p.count[h] {
+			h = i
+		}
+	}
+	return h
 }
 
 func (c *ChurnConfig) fillDefaults() {
@@ -70,9 +134,6 @@ func (c *ChurnConfig) fillDefaults() {
 	if c.Hosts <= 0 {
 		c.Hosts = 21
 	}
-	if c.SlotsPerHost == 0 {
-		c.SlotsPerHost = 12
-	}
 	if len(c.Templates) == 0 {
 		c.Templates = []JobTemplate{{
 			Model:             dl.ResNet32,
@@ -85,24 +146,15 @@ func (c *ChurnConfig) fillDefaults() {
 
 // Validate reports configuration errors. The arrival rate must be a
 // positive, finite number of jobs per second — a zero or negative rate
-// would make the Poisson inter-arrival draw meaningless — and the slot
-// capacity a positive, finite thread count. Generate fills defaults
-// first (so an unset rate becomes 0.1/s and unset slots become 12) and
-// then validates, so an explicitly negative value always errors.
+// would make the Poisson inter-arrival draw meaningless. Generate fills
+// defaults first (so an unset rate becomes 0.1/s) and then validates,
+// so an explicitly negative rate always errors.
 func (c ChurnConfig) Validate() error {
 	if !(c.ArrivalRatePerSec > 0) { // also catches NaN
 		return fmt.Errorf("workload: ArrivalRatePerSec %g must be positive", c.ArrivalRatePerSec)
 	}
 	if math.IsInf(c.ArrivalRatePerSec, 1) {
 		return fmt.Errorf("workload: ArrivalRatePerSec must be finite")
-	}
-	// Zero means "unset" (Generate fills the 12-thread default before
-	// validating); anything else must be a positive finite thread count.
-	if c.SlotsPerHost != 0 && !(c.SlotsPerHost > 0) { // also catches NaN
-		return fmt.Errorf("workload: SlotsPerHost %g must be positive", c.SlotsPerHost)
-	}
-	if math.IsInf(c.SlotsPerHost, 1) {
-		return fmt.Errorf("workload: SlotsPerHost must be finite")
 	}
 	return nil
 }
@@ -118,14 +170,18 @@ type Arrival struct {
 // a given rng stream, and its output is byte-identical to the
 // pre-unified-layer generator: the same draws in the same order, with
 // each job now expressed as a unified JobSpec and lowered through
-// LowerPS onto the flat scheduler's placement.
+// LowerPS onto the PS placer's choice.
 func Generate(cfg ChurnConfig, rng *sim.RNG) ([]Arrival, error) {
 	cfg.fillDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	stream := rng.Stream("workload")
-	sched := cluster.NewScheduler(cfg.SchedPolicy, cfg.Hosts, cfg.SlotsPerHost, stream)
+	placer := &psPlacer{
+		policy: cfg.SchedPolicy,
+		count:  make([]int, cfg.Hosts),
+		rng:    stream.Stream("scheduler"),
+	}
 	totalWeight := 0.0
 	for _, tpl := range cfg.Templates {
 		if tpl.Weight <= 0 {
@@ -141,9 +197,7 @@ func Generate(cfg ChurnConfig, rng *sim.RNG) ([]Arrival, error) {
 	for id := 0; id < cfg.NumJobs; id++ {
 		at += stream.Expo(1 / cfg.ArrivalRatePerSec)
 		tpl := pickTemplate(cfg.Templates, totalWeight, stream)
-		psHost, err := sched.Place(cluster.TaskReq{
-			JobID: id, Kind: cluster.KindPS, CPUDemand: 0.5,
-		})
+		psHost, err := placer.place()
 		if err != nil {
 			return nil, err
 		}

@@ -329,11 +329,14 @@ type FaultConfig struct {
 	// TCOutage also fails tc actuation on the host during each flap,
 	// exercising the controller's retry/fallback/reconcile paths.
 	TCOutage bool
-	// Crashes lists worker crashes to schedule.
+	// Crashes lists worker crashes to schedule. A crash timed before
+	// its job arrives (the grid starts job i at i × 0.1 s) is rejected
+	// before the run; one after the job finished is skipped.
 	Crashes []WorkerCrash
 	// PeerCrashes lists collective-rank crashes (Worker = rank index;
-	// Job must be a collective job's ID). A crashed peer stalls its
-	// whole ring until detection restarts the iteration.
+	// Job must be a collective job's ID), timed like Crashes. A crashed
+	// peer stalls its whole ring until detection restarts the
+	// iteration.
 	PeerCrashes []WorkerCrash
 	// DetectTimeoutSec, RestartBackoffSec and MaxRestarts tune each
 	// job's crashed-worker recovery (see dl.RecoveryConfig). With

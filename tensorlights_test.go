@@ -299,6 +299,32 @@ func TestRunExperimentWithFaults(t *testing.T) {
 	}
 }
 
+// TestRunExperimentRejectsCrashBeforeArrival: the grid starts job 20
+// at 2 s (0.1 s stagger), so a crash of it at 0.5 s would strike a job
+// that is not running. The run fails up front with an error naming the
+// job, the crash time and the arrival time — what tlsim -steps 600
+// -fault-crash 20:0:0.5 prints.
+func TestRunExperimentRejectsCrashBeforeArrival(t *testing.T) {
+	cfg := ExperimentConfig{
+		PlacementIndex: 1,
+		Steps:          600,
+		Seed:           1,
+		Faults: FaultConfig{
+			Crashes:          []WorkerCrash{{Job: 20, Worker: 0, AtSec: 0.5}},
+			DetectTimeoutSec: 5,
+		},
+	}
+	_, err := RunExperiment(cfg)
+	if err == nil {
+		t.Fatal("crash before its job's arrival accepted")
+	}
+	for _, want := range []string{"job 20", "at 0.5 s", "arrives at 2 s"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
 // TestQuickstartWithFaultsDeterministic is the determinism regression:
 // the same seeded config with fault injection enabled must produce
 // byte-identical results on every run.
