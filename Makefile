@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test vet staticcheck race check bench bench-module qdisc-bench-smoke fuzz examples serve-smoke runner-smoke flow-equiv
+.PHONY: build fmt test vet staticcheck race check bench bench-module layer-bench-smoke fuzz examples serve-smoke runner-smoke flow-equiv
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fmt fails when any Go file is not gofmt-clean, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt needed:"; echo "$$out"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -59,12 +65,12 @@ flow-equiv:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# qdisc-bench-smoke runs every qdisc microbenchmark once, so the
-# layer benchmarks keep compiling and running.
-qdisc-bench-smoke:
-	$(GO) test ./internal/qdisc -run '^$$' -bench . -benchtime 1x
+# layer-bench-smoke runs every qdisc and flownet microbenchmark once,
+# so the layer benchmarks keep compiling and running.
+layer-bench-smoke:
+	$(GO) test ./internal/qdisc ./internal/flownet -run '^$$' -bench . -benchtime 1x
 
-check: build vet staticcheck test race bench-module qdisc-bench-smoke examples serve-smoke runner-smoke flow-equiv
+check: build fmt vet staticcheck test race bench-module layer-bench-smoke examples serve-smoke runner-smoke flow-equiv
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.

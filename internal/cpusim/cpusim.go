@@ -27,7 +27,7 @@ type CPU struct {
 	tasks          []*Task
 	sumDemand      float64
 	lastUpdate     float64
-	busyTime       float64 // cumulative thread-seconds of work done
+	busyTime       float64    // cumulative thread-seconds of work done
 	done           sim.Ticket // armed completion event (zero when none)
 	completedTasks uint64
 

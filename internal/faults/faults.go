@@ -75,10 +75,10 @@ type Injector struct {
 // otherwise New installs the tc exec hook (replacing any prior hook).
 func New(k *sim.Kernel, rng *sim.RNG, fabric *simnet.Fabric, tcc *tc.Controller) *Injector {
 	in := &Injector{
-		k:         k,
-		rng:       rng.Stream("faults"),
-		fabric:    fabric,
-		tcc:       tcc,
+		k:             k,
+		rng:           rng.Stream("faults"),
+		fabric:        fabric,
+		tcc:           tcc,
 		linkDepth:     make(map[int]int),
 		rateDepth:     make(map[int]int),
 		dropDepth:     make(map[int]int),

@@ -1,8 +1,10 @@
 package flownet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -10,6 +12,10 @@ import (
 // FlowID identifies a flow in the engine; the fabric reuses its own
 // flow IDs here.
 type FlowID uint64
+
+// settleLogLen bounds the interval log: when it fills, every link is
+// settled and the log restarts, so memory stays constant on long runs.
+const settleLogLen = 4096
 
 // completionEps is the residual-demand slack (bytes) below which a flow
 // counts as finished. Purely a performance knob: a flow that misses the
@@ -44,6 +50,15 @@ type flowState struct {
 // port accounting), and schedules exactly one kernel event: the next
 // flow completion.
 //
+// Advancing the fluid state costs O(active flows) plus one append to
+// an interval log; no link is touched. A link's rate and capacity are
+// constant between the points that change them, so its counters are
+// settled lazily by replaying the logged intervals at that rate: before
+// a re-solve changes the rate, before SetLinkCap changes the capacity,
+// when a counter is read, and for every link when the log fills. The
+// replay performs the same float operations in the same order as
+// accumulating on every advance would, so counters are bit-identical.
+//
 // Rate recomputation is scoped and batched so cost tracks the traffic
 // footprint, not the cluster size:
 //
@@ -66,17 +81,16 @@ type Engine struct {
 	k      *sim.Kernel
 	onDone func(id FlowID, tag any)
 
-	caps   []float64
-	served []float64 // cumulative payload bytes through each link
-	busy   []float64 // cumulative busy-fraction-seconds per link
+	caps     []float64
+	linkRate []float64 // current aggregate rate on each link
+	served   []float64 // cumulative payload bytes through each link
+	busy     []float64 // cumulative busy-fraction-seconds per link
 
-	// linkRate[l] is the current aggregate rate on link l; activeLinks
-	// lists links that have (or recently had) a positive rate, so
-	// advance cost scales with the traffic footprint. Entries whose
-	// rate dropped to zero are skipped and compacted away lazily.
-	linkRate    []float64
-	linkActive  []bool
-	activeLinks []int
+	// dts logs the advance intervals since the last full settle;
+	// linkSynced[l] is the log index up to which served[l] and busy[l]
+	// include them (see syncLink).
+	dts        []float64
+	linkSynced []int
 
 	// linkFlows[l] holds the active flows attached to link l (path
 	// links plus band links); dirtyLinks accumulates the links whose
@@ -101,14 +115,15 @@ type Engine struct {
 	flushFn       func()
 	completionsFn func()
 
-	solver    Solver
-	sflows    []Flow
-	srates    []float64
-	compFlows []*flowState
-	compLinks []int
-	queue     []int
-	doneBuf   []*flowState
-	resolves  uint64
+	solver     Solver
+	sflows     []Flow
+	srates     []float64
+	compFlows  []*flowState
+	compLinks  []int
+	queue      []int
+	doneBuf    []*flowState
+	backlogBuf []*flowState
+	resolves   uint64
 }
 
 // NewEngine creates an engine on the kernel. onDone fires — inside a
@@ -134,7 +149,7 @@ func (e *Engine) AddLink(capacity float64) int {
 	e.served = append(e.served, 0)
 	e.busy = append(e.busy, 0)
 	e.linkRate = append(e.linkRate, 0)
-	e.linkActive = append(e.linkActive, false)
+	e.linkSynced = append(e.linkSynced, len(e.dts))
 	e.linkFlows = append(e.linkFlows, nil)
 	e.dirtyMark = append(e.dirtyMark, false)
 	e.visitMark = append(e.visitMark, false)
@@ -156,32 +171,47 @@ func (e *Engine) SetLinkCap(l int, capacity float64) {
 		return
 	}
 	e.Sync()
+	e.syncLink(l)
 	e.caps[l] = capacity
 	e.markLinkDirty(l)
 	e.markDirty()
 }
 
 // LinkServedBytes returns cumulative payload bytes pushed through link
-// l as of the last Sync/mutation.
-func (e *Engine) LinkServedBytes(l int) float64 { return e.served[l] }
+// l up to the engine's fluid clock: the last Sync, mutation or
+// completion. Call Sync first to read it at the kernel clock.
+func (e *Engine) LinkServedBytes(l int) float64 {
+	e.syncLink(l)
+	return e.served[l]
+}
 
 // LinkBusySeconds returns the cumulative busy time of link l: the
 // integral of min(1, aggregateRate/capacity), matching the chunk
-// fabric's per-port busy-time accounting.
-func (e *Engine) LinkBusySeconds(l int) float64 { return e.busy[l] }
+// fabric's per-port busy-time accounting. Like LinkServedBytes it runs
+// to the engine's fluid clock.
+func (e *Engine) LinkBusySeconds(l int) float64 {
+	e.syncLink(l)
+	return e.busy[l]
+}
 
 // LinkBacklogBytes returns the bytes still to be served across link l —
-// the fluid analogue of a port's queued backlog.
+// the fluid analogue of a port's queued backlog. It visits only the
+// flows indexed under l, summing them in insertion order so the result
+// does not depend on the index's swap-remove order.
 func (e *Engine) LinkBacklogBytes(l int) float64 {
-	var b float64
-	for _, fs := range e.order {
-		for _, fl := range fs.links {
-			if fl == l {
-				b += fs.remaining
-				break
-			}
+	buf := e.backlogBuf[:0]
+	for _, fs := range e.linkFlows[l] {
+		if slices.Contains(fs.links, l) {
+			buf = append(buf, fs)
 		}
 	}
+	slices.SortFunc(buf, func(a, b *flowState) int { return cmp.Compare(a.seq, b.seq) })
+	var b float64
+	for _, fs := range buf {
+		b += fs.remaining
+	}
+	clear(buf)
+	e.backlogBuf = buf[:0]
 	return b
 }
 
@@ -191,9 +221,10 @@ func (e *Engine) ActiveFlows() int { return len(e.order) }
 // Resolves returns how many times the allocation was recomputed.
 func (e *Engine) Resolves() uint64 { return e.resolves }
 
-// Sync advances the fluid state (per-flow remaining demand, per-link
-// served bytes and busy time) to the kernel clock. Mutations do this
-// implicitly; metric readers call it before sampling counters.
+// Sync advances the fluid state (per-flow remaining demand, and the
+// interval log the per-link counters settle from) to the kernel clock.
+// Mutations do this implicitly; metric readers call it before sampling
+// counters.
 func (e *Engine) Sync() { e.advance(e.k.Now()) }
 
 func (e *Engine) advance(now float64) {
@@ -210,34 +241,44 @@ func (e *Engine) advance(now float64) {
 			}
 		}
 	}
-	idle := 0
-	for _, l := range e.activeLinks {
-		r := e.linkRate[l]
-		if r <= 0 {
-			idle++
-			continue
+	e.dts = append(e.dts, dt)
+	if len(e.dts) == settleLogLen {
+		for l := range e.linkSynced {
+			e.syncLink(l)
+			e.linkSynced[l] = 0
 		}
-		e.served[l] += r * dt
-		if c := e.caps[l]; c > 0 {
-			u := r / c
-			if u > 1 {
-				u = 1
-			}
-			e.busy[l] += u * dt
-		}
+		e.dts = e.dts[:0]
 	}
-	// Compact out links whose traffic has drained so the scan stays
-	// proportional to current activity.
-	if idle > 64 && 2*idle > len(e.activeLinks) {
-		kept := e.activeLinks[:0]
-		for _, l := range e.activeLinks {
-			if e.linkRate[l] > 0 {
-				kept = append(kept, l)
-			} else {
-				e.linkActive[l] = false
-			}
+}
+
+// syncLink settles link l's counters through the end of the interval
+// log. The link's rate and capacity have been constant since its last
+// settle, so each logged interval adds exactly what an eager per-advance
+// update would, in the same order; the sum is never collapsed into
+// r*Σdt, which would round differently.
+func (e *Engine) syncLink(l int) {
+	from := e.linkSynced[l]
+	e.linkSynced[l] = len(e.dts)
+	r := e.linkRate[l]
+	if r <= 0 {
+		return
+	}
+	dts := e.dts[from:]
+	s := e.served[l]
+	for _, dt := range dts {
+		s += r * dt
+	}
+	e.served[l] = s
+	if c := e.caps[l]; c > 0 {
+		u := r / c
+		if u > 1 {
+			u = 1
 		}
-		e.activeLinks = kept
+		b := e.busy[l]
+		for _, dt := range dts {
+			b += u * dt
+		}
+		e.busy[l] = b
 	}
 }
 
@@ -357,7 +398,7 @@ func (e *Engine) UpdateFlow(id FlowID, links []int, bandLink, band int, weight f
 	if !ok {
 		return false
 	}
-	if fs.bandLink == bandLink && fs.band == band && fs.weight == weight && intsEqual(fs.links, links) {
+	if fs.bandLink == bandLink && fs.band == band && fs.weight == weight && slices.Equal(fs.links, links) {
 		return true
 	}
 	if len(links) == 0 {
@@ -531,6 +572,7 @@ func (e *Engine) resolve() {
 	// Refresh the component's link aggregates; untouched links keep
 	// their rates (their flows were not in the component).
 	for _, l := range e.compLinks {
+		e.syncLink(l)
 		e.linkRate[l] = 0
 	}
 	for _, fs := range e.compFlows {
@@ -539,12 +581,6 @@ func (e *Engine) resolve() {
 		}
 		for _, l := range fs.links {
 			e.linkRate[l] += fs.rate
-		}
-	}
-	for _, l := range e.compLinks {
-		if e.linkRate[l] > 0 && !e.linkActive[l] {
-			e.linkActive[l] = true
-			e.activeLinks = append(e.activeLinks, l)
 		}
 	}
 	e.schedule()
@@ -614,16 +650,4 @@ func (e *Engine) completions() {
 	for _, fs := range done {
 		e.release(fs)
 	}
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -119,9 +119,9 @@ func TestYellowUnblocksWhenGreenIsDowned(t *testing.T) {
 
 func TestDegenerateFlows(t *testing.T) {
 	fl := []Flow{
-		{Links: nil, Weight: 1, BandLink: -1},          // no links
-		{Links: []int{0}, Weight: 0, BandLink: -1},     // weight defaults to 1
-		{Links: []int{0}, Weight: -2.5, BandLink: -1},  // ditto
+		{Links: nil, Weight: 1, BandLink: -1},         // no links
+		{Links: []int{0}, Weight: 0, BandLink: -1},    // weight defaults to 1
+		{Links: []int{0}, Weight: -2.5, BandLink: -1}, // ditto
 	}
 	r := Solve([]float64{100}, fl)
 	approx(t, r[0], 0, 0, "linkless flow")

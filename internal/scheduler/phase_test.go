@@ -9,14 +9,14 @@ func TestCircularOverlap(t *testing.T) {
 	cases := []struct {
 		a1, l1, a2, l2, want float64
 	}{
-		{0, 0.25, 0.5, 0.25, 0},        // disjoint
-		{0, 0.25, 0, 0.25, 0.25},       // identical
-		{0, 0.5, 0.25, 0.5, 0.25},      // half overlap
-		{0.9, 0.2, 0, 0.05, 0.05},      // wraparound arc 1 covers arc 2
-		{0, 0.05, 0.9, 0.2, 0.05},      // symmetric case
-		{0, 1, 0.3, 0.4, 0.4},          // full circle vs arc
-		{0.75, 0.5, 0.2, 0.1, 0.05},    // wrap partial
-		{0.1, 0.2, 0.25, 0.2, 0.05},    // plain partial
+		{0, 0.25, 0.5, 0.25, 0},     // disjoint
+		{0, 0.25, 0, 0.25, 0.25},    // identical
+		{0, 0.5, 0.25, 0.5, 0.25},   // half overlap
+		{0.9, 0.2, 0, 0.05, 0.05},   // wraparound arc 1 covers arc 2
+		{0, 0.05, 0.9, 0.2, 0.05},   // symmetric case
+		{0, 1, 0.3, 0.4, 0.4},       // full circle vs arc
+		{0.75, 0.5, 0.2, 0.1, 0.05}, // wrap partial
+		{0.1, 0.2, 0.25, 0.2, 0.05}, // plain partial
 	}
 	for i, c := range cases {
 		got := circularOverlap(c.a1, c.l1, c.a2, c.l2)

@@ -53,11 +53,11 @@ const (
 // wall-clock timestamps: replayed state must be independent of when the
 // daemon (re)started, and results stay byte-comparable across runs.
 type Record struct {
-	T       string                          `json:"t"`
-	ID      string                          `json:"id"`
-	Hash    string                          `json:"hash,omitempty"`
-	Attempt int                             `json:"attempt,omitempty"`
-	Config  *tensorlights.ExperimentConfig  `json:"config,omitempty"`
+	T       string                         `json:"t"`
+	ID      string                         `json:"id"`
+	Hash    string                         `json:"hash,omitempty"`
+	Attempt int                            `json:"attempt,omitempty"`
+	Config  *tensorlights.ExperimentConfig `json:"config,omitempty"`
 	// TimeoutSec is the per-job deadline requested at submission
 	// (0 = server default).
 	TimeoutSec float64              `json:"timeout_sec,omitempty"`

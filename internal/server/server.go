@@ -205,18 +205,18 @@ type Server struct {
 }
 
 type serverMetrics struct {
-	submitted  *metrics.Counter
-	deduped    *metrics.Counter
-	recovered  *metrics.Counter
-	completed  *metrics.Counter
-	failed     *metrics.Counter
-	cancelled  *metrics.Counter
-	retries    *metrics.Counter
-	panics     *metrics.Counter
-	rejQueue   *metrics.Counter
-	rejRate    *metrics.Counter
-	rejDrain   *metrics.Counter
-	running    *metrics.Gauge
+	submitted *metrics.Counter
+	deduped   *metrics.Counter
+	recovered *metrics.Counter
+	completed *metrics.Counter
+	failed    *metrics.Counter
+	cancelled *metrics.Counter
+	retries   *metrics.Counter
+	panics    *metrics.Counter
+	rejQueue  *metrics.Counter
+	rejRate   *metrics.Counter
+	rejDrain  *metrics.Counter
+	running   *metrics.Gauge
 }
 
 // New opens (and replays) the journal and rebuilds the daemon's state:

@@ -21,8 +21,8 @@ const Forever Time = math.MaxFloat64
 // order. The priority field lets callers order simultaneous events
 // deterministically (e.g. "complete transfers before starting new ones").
 type Event struct {
-	at       Time
-	fn       func()
+	at Time
+	fn func()
 	// fnA/arg is the allocation-free alternative to closing over a single
 	// pointer: PostArg events carry the argument in the event struct, so
 	// hot paths that would otherwise build a one-word closure per event
