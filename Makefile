@@ -46,11 +46,15 @@ serve-smoke:
 # runner-smoke drives every front end of the sweep package's scenario
 # runner at smoke scale through the real CLIs: churn's pinned arrivals,
 # the fault-recovery grid, the scheduler and open-world online trials,
-# and faults on a mixed PS plus collective run.
+# and faults on a mixed PS plus collective run. Each experiment also
+# writes its CSV through -csvdir; a missing or empty file fails.
 runner-smoke:
+	d=$$(mktemp -d) || exit 1; \
 	for e in churn faultrec scheduler openworld; do \
-		$(GO) run ./cmd/experiments -steps 300 -only $$e -parallel 4 || exit 1; \
-	done
+		$(GO) run ./cmd/experiments -steps 300 -only $$e -parallel 4 -csvdir $$d || exit 1; \
+		test -s $$d/$$e.csv || { echo "runner-smoke: $$d/$$e.csv missing or empty"; exit 1; }; \
+	done; \
+	rm -rf $$d
 	$(GO) run ./cmd/tlsim -steps 300 -workload mixed -fault-crash 0:3:2,1000:1:2 -fault-flap-ps
 
 # flow-equiv runs the golden equivalence harness: every golden config is

@@ -1,17 +1,7 @@
 // Command experiments regenerates every table and figure in the paper's
-// evaluation section (Figures 2, 3, 5a, 5b, 6 and Table II), plus the
-// fault-recovery comparison (faultrec), the collective-workload
-// comparison (collective), the scheduling-policy comparison
-// (policy, including the telemetry-driven TLs-LAS/TLs-SRSF/
-// TLs-Interleave), the leaf-spine topology sweep (topology:
-// placement strategy x core oversubscription x policy) and the online
-// cluster-scheduler sweep (scheduler: contention-aware and phase-aware
-// placement vs the naive baselines, crossed with end-host policies)
-// and the open-world sweep (openworld: arrival process x homogeneous
-// vs heterogeneous hosts x end-host policy, one unified stream of PS
-// and collective jobs per cell),
-// and prints the measured rows
-// next to the paper's reported numbers. At full scale
+// evaluation section (Figures 2, 3, 5a, 5b, 6 and Table II) plus the
+// extension sweeps of the sweep.Experiments catalogue, and prints the
+// measured rows next to the paper's reported numbers. At full scale
 // (-steps 30000, the paper's setting) the complete suite is a large
 // computation; -steps 3000 gives the same shapes in a few minutes.
 //
@@ -26,7 +16,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,42 +24,25 @@ import (
 	"repro/internal/sweep"
 )
 
-// renderable is what every figure/table result provides.
-type renderable interface {
-	Render() string
-	WriteCSV(io.Writer) error
-}
-
 func main() {
 	var (
 		steps    = flag.Int("steps", 30000, "target global steps per job (paper: 30000)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		only     = flag.String("only", "", "run a single experiment: fig2|fig3|fig5a|fig5b|fig6|table2|faultrec|collective|replicate|churn|policy|topology|scheduler|openworld")
+		only     = flag.String("only", "", "run a single experiment: "+strings.Join(sweep.ExperimentNames(), "|"))
 		parallel = flag.Int("parallel", 0, "concurrent trials (0 = GOMAXPROCS, 1 = sequential)")
 		csvdir   = flag.String("csvdir", "", "directory to write per-figure CSV data files")
 	)
 	flag.Parse()
 
 	o := sweep.Options{Steps: *steps, Seed: *seed, Parallelism: *parallel}
-	type exp struct {
-		name string
-		run  func(sweep.Options) (renderable, error)
-	}
-	suite := []exp{
-		{"fig2", func(o sweep.Options) (renderable, error) { return sweep.Figure2(o) }},
-		{"fig3", func(o sweep.Options) (renderable, error) { return sweep.Figure3(o) }},
-		{"fig5a", func(o sweep.Options) (renderable, error) { return sweep.Figure5a(o) }},
-		{"fig5b", func(o sweep.Options) (renderable, error) { return sweep.Figure5b(o) }},
-		{"fig6", func(o sweep.Options) (renderable, error) { return sweep.Figure6(o) }},
-		{"table2", func(o sweep.Options) (renderable, error) { return sweep.TableII(o) }},
-		{"faultrec", func(o sweep.Options) (renderable, error) { return sweep.FaultRecovery(o) }},
-		{"collective", func(o sweep.Options) (renderable, error) { return sweep.Collective(o) }},
-		{"replicate", func(o sweep.Options) (renderable, error) { return sweep.ReplicateSweep(o) }},
-		{"churn", func(o sweep.Options) (renderable, error) { return sweep.ChurnSweep(o) }},
-		{"policy", func(o sweep.Options) (renderable, error) { return sweep.PolicySweep(o) }},
-		{"topology", func(o sweep.Options) (renderable, error) { return sweep.TopologySweep(o) }},
-		{"scheduler", func(o sweep.Options) (renderable, error) { return sweep.SchedulerSweep(o) }},
-		{"openworld", func(o sweep.Options) (renderable, error) { return sweep.OpenWorldSweep(o) }},
+	suite := sweep.Experiments
+	if *only != "" {
+		e, err := sweep.FindExperiment(*only)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: -only: %v\n", err)
+			os.Exit(2)
+		}
+		suite = []sweep.Experiment{e}
 	}
 	if *csvdir != "" {
 		if err := os.MkdirAll(*csvdir, 0o755); err != nil {
@@ -78,22 +50,17 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	ran := 0
 	for _, e := range suite {
-		if *only != "" && !strings.EqualFold(*only, e.name) {
-			continue
-		}
-		ran++
 		start := time.Now()
-		res, err := e.run(o)
+		res, err := e.Run(o)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("=== %s (steps=%d seed=%d, %.1fs wall) ===\n%s\n",
-			e.name, *steps, *seed, time.Since(start).Seconds(), res.Render())
+			e.Name, *steps, *seed, time.Since(start).Seconds(), res.Render())
 		if *csvdir != "" {
-			path := filepath.Join(*csvdir, e.name+".csv")
+			path := filepath.Join(*csvdir, e.Name+".csv")
 			f, err := os.Create(path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -107,9 +74,5 @@ func main() {
 			f.Close()
 			fmt.Printf("csv written to %s\n\n", path)
 		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unknown -only %q\n", *only)
-		os.Exit(2)
 	}
 }

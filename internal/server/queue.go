@@ -4,6 +4,7 @@ import (
 	tensorlights "repro"
 
 	"repro/internal/dl"
+	"repro/internal/workload"
 )
 
 // Queue policies for Config.QueuePolicy.
@@ -60,6 +61,8 @@ func expectedWorkBytes(cfg tensorlights.ExperimentConfig) float64 {
 		}
 		return float64(m.UpdateBytes())
 	}
+	// Online trials and collectives run steps/30 iterations per job.
+	iters := max(steps/30, 2)
 	if sc := cfg.Scheduler; sc != nil {
 		// The scheduler trial runs a fixed arrival mix of its own;
 		// approximate one arrival as the mix's average model.
@@ -67,12 +70,26 @@ func expectedWorkBytes(cfg tensorlights.ExperimentConfig) float64 {
 		if jobs <= 0 {
 			jobs = 9
 		}
-		iters := steps / 30
-		if iters < 2 {
-			iters = 2
-		}
 		avg := float64(dl.AlexNet.UpdateBytes()+dl.ResNet56.UpdateBytes()+dl.ResNet50.UpdateBytes()) / 3
 		return float64(jobs) * float64(iters) * avg
+	}
+	if ow := cfg.OpenWorld; ow != nil {
+		// Price one arrival as the weighted mean of its mix. ow.Trace
+		// is never read: it is a reader the run itself consumes.
+		jobs := ow.Jobs
+		if jobs <= 0 {
+			jobs = 9
+		}
+		mix, err := workload.NamedMix(ow.Mix, iters)
+		if err != nil {
+			mix, _ = workload.NamedMix("mixed", iters)
+		}
+		var sum, weights float64
+		for _, t := range mix {
+			sum += t.Weight * float64(t.Iterations) * float64(t.Model.UpdateBytes())
+			weights += t.Weight
+		}
+		return float64(jobs) * sum / weights
 	}
 	var total float64
 	psJobs := cfg.NumJobs
@@ -91,12 +108,8 @@ func expectedWorkBytes(cfg tensorlights.ExperimentConfig) float64 {
 		if ranks <= 0 {
 			ranks = 4
 		}
-		iters := cc.Iterations
-		if iters <= 0 {
-			iters = steps / 30
-			if iters < 2 {
-				iters = 2
-			}
+		if cc.Iterations > 0 {
+			iters = cc.Iterations
 		}
 		total += float64(jobs) * float64(iters) * float64(ranks) * modelBytes(cc.Model, dl.AlexNet)
 	}

@@ -121,4 +121,13 @@ func TestExpectedWorkBytesOrdersConfigs(t *testing.T) {
 	if sc := expectedWorkBytes(sched); sc <= 0 {
 		t.Fatalf("scheduler config estimated at %g bytes", sc)
 	}
+	openWorld := func(jobs int) float64 {
+		return expectedWorkBytes(tensorlights.ExperimentConfig{
+			Steps:     60,
+			OpenWorld: &tensorlights.OpenWorldConfig{Jobs: jobs},
+		})
+	}
+	if few, many := openWorld(2), openWorld(20); few >= many {
+		t.Fatalf("more open-world arrivals should mean more work: %g >= %g", few, many)
+	}
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestGradientCompressionReducesIngressLoad(t *testing.T) {
 
 func TestReplicate(t *testing.T) {
 	calls := 0
-	stats, err := Replicate(3, 10, func(seed int64) (float64, error) {
+	stats, err := Replicate(context.Background(), 3, 10, 1, func(_ context.Context, seed int64) (float64, error) {
 		calls++
 		return float64(seed), nil
 	})
@@ -194,10 +195,10 @@ func TestReplicate(t *testing.T) {
 	if stats.String() == "" {
 		t.Fatal("render")
 	}
-	if _, err := Replicate(0, 0, nil); err == nil {
+	if _, err := Replicate(context.Background(), 0, 0, 1, nil); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := Replicate(2, 0, func(int64) (float64, error) {
+	if _, err := Replicate(context.Background(), 2, 0, 1, func(context.Context, int64) (float64, error) {
 		return 0, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("metric error swallowed")

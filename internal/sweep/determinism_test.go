@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -15,23 +14,19 @@ import (
 	"repro/internal/simnet"
 )
 
-// csvWriter is any sweep result that can export itself as CSV.
-type csvResult interface {
-	WriteCSV(w io.Writer) error
-}
-
-// runBoth runs one sweep at Parallelism 1 and 4 and returns both CSVs.
-func runBoth(t *testing.T, name string, run func(Options) (csvResult, error)) (seq, par []byte) {
+// runBoth runs one experiment at Parallelism 1 and 4 and returns both
+// CSVs.
+func runBoth(t *testing.T, e Experiment) (seq, par []byte) {
 	t.Helper()
 	render := func(parallelism int) []byte {
 		o := Options{Steps: 300, Seed: 42, Parallelism: parallelism}
-		res, err := run(o)
+		res, err := e.Run(o)
 		if err != nil {
-			t.Fatalf("%s at parallelism %d: %v", name, parallelism, err)
+			t.Fatalf("%s at parallelism %d: %v", e.Name, parallelism, err)
 		}
 		var buf bytes.Buffer
 		if err := res.WriteCSV(&buf); err != nil {
-			t.Fatalf("%s WriteCSV: %v", name, err)
+			t.Fatalf("%s WriteCSV: %v", e.Name, err)
 		}
 		return buf.Bytes()
 	}
@@ -48,31 +43,17 @@ func TestSweepsDeterministicSequentialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sweep twice")
 	}
-	sweeps := []struct {
-		name string
-		run  func(Options) (csvResult, error)
-	}{
-		{"replicate", func(o Options) (csvResult, error) { return ReplicateSweep(o) }},
-		{"churn", func(o Options) (csvResult, error) { return ChurnSweep(o) }},
-		{"faultrec", func(o Options) (csvResult, error) { return FaultRecovery(o) }},
-		{"collective", func(o Options) (csvResult, error) { return Collective(o) }},
-		{"policy", func(o Options) (csvResult, error) { return PolicySweep(o) }},
-		{"topology", func(o Options) (csvResult, error) { return TopologySweep(o) }},
-		{"scheduler", func(o Options) (csvResult, error) { return SchedulerSweep(o) }},
-		{"openworld", func(o Options) (csvResult, error) { return OpenWorldSweep(o) }},
-	}
-	for _, s := range sweeps {
-		s := s
-		t.Run(s.name, func(t *testing.T) {
-			seq, par := runBoth(t, s.name, s.run)
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			seq, par := runBoth(t, e)
 			if len(seq) == 0 {
-				t.Fatalf("%s produced an empty CSV", s.name)
+				t.Fatalf("%s produced an empty CSV", e.Name)
 			}
 			if !bytes.Equal(seq, par) {
 				t.Fatalf("%s CSV differs between sequential and parallel runs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-					s.name, seq, par)
+					e.Name, seq, par)
 			}
-			golden := "golden_" + s.name + ".csv"
+			golden := "golden_" + e.Name + ".csv"
 			if _, err := os.Stat(filepath.Join("testdata", golden)); errors.Is(err, fs.ErrNotExist) {
 				return
 			}

@@ -324,12 +324,6 @@ func (r *OpenWorldResult) Render() string {
 
 // OpenWorldSweep runs the full arrivals x heterogeneity x policy grid.
 func OpenWorldSweep(o Options) (*OpenWorldResult, error) {
-	return OpenWorldSweepContext(context.Background(), o)
-}
-
-// OpenWorldSweepContext is OpenWorldSweep with cancellation threaded
-// into every trial.
-func OpenWorldSweepContext(ctx context.Context, o Options) (*OpenWorldResult, error) {
 	o.fillDefaults()
 	type cell struct {
 		arrivals string
@@ -344,8 +338,8 @@ func OpenWorldSweepContext(ctx context.Context, o Options) (*OpenWorldResult, er
 			}
 		}
 	}
-	results, err := GatherContext(ctx, Engine{Parallelism: o.Parallelism}, cells, func(ctx context.Context, c cell) (*OpenWorldTrialResult, error) {
-		r, err := OpenWorldTrial(ctx, OpenWorldTrialConfig{
+	results, err := Gather(Engine{Parallelism: o.Parallelism}, cells, func(c cell) (*OpenWorldTrialResult, error) {
+		r, err := OpenWorldTrial(context.Background(), OpenWorldTrialConfig{
 			Steps:         o.Steps,
 			Seed:          o.Seed,
 			Arrivals:      c.arrivals,

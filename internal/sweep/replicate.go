@@ -27,32 +27,21 @@ func (r ReplicateStats) String() string {
 // baseSeed and aggregates the results. Use it to put error bars on any
 // headline number (performance gap, improvement percentage, ratio):
 //
-//	stats, err := sweep.Replicate(3, 1, func(seed int64) (float64, error) {
+//	stats, err := sweep.Replicate(ctx, 3, 1, 0, func(ctx context.Context, seed int64) (float64, error) {
 //	    r, err := sweep.Figure2(sweep.Options{Steps: 3000, Seed: seed})
 //	    if err != nil {
 //	        return 0, err
 //	    }
 //	    return r.PerformanceGap(), nil
 //	})
-func Replicate(n int, baseSeed int64, metric func(seed int64) (float64, error)) (ReplicateStats, error) {
-	return ReplicateParallel(n, baseSeed, 1, metric)
-}
-
-// ReplicateParallel is Replicate with the seed evaluations fanned over
-// the parallel Engine. The aggregation is order-independent up to
-// floating-point association, so vals are gathered in seed order and
-// folded sequentially: the stats are bit-identical to Replicate's.
-// parallelism follows Engine semantics (<= 0 GOMAXPROCS, 1 sequential).
-func ReplicateParallel(n int, baseSeed int64, parallelism int, metric func(seed int64) (float64, error)) (ReplicateStats, error) {
-	return ReplicateParallelContext(context.Background(), n, baseSeed, parallelism,
-		func(_ context.Context, seed int64) (float64, error) { return metric(seed) })
-}
-
-// ReplicateParallelContext is ReplicateParallel with cancellation: the
-// ctx handed to each metric evaluation is the one to thread into
-// RunContext/RunExperimentContext, so an interrupted replicate sweep
-// abandons queued seeds and stops in-flight simulations mid-run.
-func ReplicateParallelContext(ctx context.Context, n int, baseSeed int64, parallelism int, metric func(ctx context.Context, seed int64) (float64, error)) (ReplicateStats, error) {
+//
+// The seeds fan out over the parallel Engine (parallelism <= 0 uses
+// GOMAXPROCS, 1 runs sequentially); their values are gathered in seed
+// order and folded sequentially, so the stats are bit-identical at
+// every parallelism. The ctx handed to each evaluation is the one to
+// thread into RunContext/RunExperimentContext: once ctx is done, queued
+// seeds are abandoned and in-flight simulations stop mid-run.
+func Replicate(ctx context.Context, n int, baseSeed int64, parallelism int, metric func(ctx context.Context, seed int64) (float64, error)) (ReplicateStats, error) {
 	if n < 1 {
 		return ReplicateStats{}, fmt.Errorf("sweep: replicate needs n >= 1")
 	}

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -15,7 +16,7 @@ func TestReplicateHeadlines(t *testing.T) {
 		t.Skip("set REPLICATE_HEADLINES=1 to run the multi-seed measurement")
 	}
 	steps := 3000
-	gap, err := Replicate(3, 1, func(seed int64) (float64, error) {
+	gap, err := Replicate(context.Background(), 3, 1, 1, func(_ context.Context, seed int64) (float64, error) {
 		r, err := Figure2(Options{Steps: steps, Seed: seed})
 		if err != nil {
 			return 0, err
@@ -26,7 +27,7 @@ func TestReplicateHeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	fmt.Printf("Fig2 performance gap: %s %%\n", gap)
-	imp, err := Replicate(3, 1, func(seed int64) (float64, error) {
+	imp, err := Replicate(context.Background(), 3, 1, 1, func(_ context.Context, seed int64) (float64, error) {
 		r, err := Figure5a(Options{Steps: steps, Seed: seed})
 		if err != nil {
 			return 0, err

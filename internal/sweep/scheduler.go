@@ -196,12 +196,6 @@ func (r *SchedulerResult) Render() string {
 
 // SchedulerSweep runs the full oversub x placement x policy grid.
 func SchedulerSweep(o Options) (*SchedulerResult, error) {
-	return SchedulerSweepContext(context.Background(), o)
-}
-
-// SchedulerSweepContext is SchedulerSweep with cancellation threaded
-// into every trial.
-func SchedulerSweepContext(ctx context.Context, o Options) (*SchedulerResult, error) {
 	o.fillDefaults()
 	type cell struct {
 		oversub float64
@@ -216,8 +210,8 @@ func SchedulerSweepContext(ctx context.Context, o Options) (*SchedulerResult, er
 			}
 		}
 	}
-	results, err := GatherContext(ctx, Engine{Parallelism: o.Parallelism}, cells, func(ctx context.Context, c cell) (*OpenWorldTrialResult, error) {
-		r, err := SchedulerTrial(ctx, SchedulerTrialConfig{
+	results, err := Gather(Engine{Parallelism: o.Parallelism}, cells, func(c cell) (*OpenWorldTrialResult, error) {
+		r, err := SchedulerTrial(context.Background(), SchedulerTrialConfig{
 			Steps:      o.Steps,
 			Seed:       o.Seed,
 			Oversub:    c.oversub,

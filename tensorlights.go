@@ -730,176 +730,27 @@ func collectiveSpecs(cfg ExperimentConfig, topo simnet.TopologyConfig, strat clu
 	return specs, nil
 }
 
-// ReproOptions scales the per-figure reproduction runs. Zero values run
-// the paper's full scale (30 000 global steps).
+// ReproOptions scales the Reproduce runs. Zero values run the paper's
+// full scale (30 000 global steps).
 type ReproOptions struct {
 	Steps       int
 	Seed        int64
 	Parallelism int
 }
 
-func (o ReproOptions) sweep() sweep.Options {
-	return sweep.Options{Steps: o.Steps, Seed: o.Seed, Parallelism: o.Parallelism}
-}
+// Experiments lists the names Reproduce accepts, in suite order: the
+// paper's Figures 2, 3, 5a, 5b, 6 and Table II (fig2 … table2), then
+// the extension sweeps.
+func Experiments() []string { return sweep.ExperimentNames() }
 
-// ReproduceFigure2 regenerates Figure 2 (JCT vs placement under FIFO)
-// and returns its rendered table.
-func ReproduceFigure2(o ReproOptions) (string, error) {
-	r, err := sweep.Figure2(o.sweep())
+// Reproduce runs the named experiment (matched case-insensitively; see
+// Experiments) and returns its rendered table.
+func Reproduce(name string, o ReproOptions) (string, error) {
+	e, err := sweep.FindExperiment(name)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("tensorlights: %w", err)
 	}
-	return r.Render(), nil
-}
-
-// ReproduceFigure3 regenerates Figure 3 (barrier wait distributions,
-// placements #1 vs #8).
-func ReproduceFigure3(o ReproOptions) (string, error) {
-	r, err := sweep.Figure3(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceFigure5a regenerates Figure 5a (normalized JCT by placement).
-func ReproduceFigure5a(o ReproOptions) (string, error) {
-	r, err := sweep.Figure5a(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceFigure5b regenerates Figure 5b (normalized JCT by batch).
-func ReproduceFigure5b(o ReproOptions) (string, error) {
-	r, err := sweep.Figure5b(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceFigure6 regenerates Figure 6 (wait distributions by policy).
-func ReproduceFigure6(o ReproOptions) (string, error) {
-	r, err := sweep.Figure6(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceTableII regenerates Table II (normalized utilization).
-func ReproduceTableII(o ReproOptions) (string, error) {
-	r, err := sweep.TableII(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceCollective runs the collective-workload comparison: ring
-// all-reduce jobs — scheduled by TensorLights exactly like PS jobs,
-// one priority band per job keyed by the job's collective port — under
-// FIFO, TLs-One and TLs-RR, on an all-reduce-only cluster and on a
-// mixed PS + all-reduce cluster where the PS host carries both traffic
-// classes.
-func ReproduceCollective(o ReproOptions) (string, error) {
-	r, err := sweep.Collective(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceFaultRecovery runs the fault-injection experiment: the
-// placement #1 workload fault-free and under a seeded fault schedule
-// (PS-host flaps, tc outages, worker crashes) for FIFO, TLs-One and
-// TLs-RR, showing each layer's recovery path and the reconcile loop
-// restoring priority bands after every fault.
-func ReproduceFaultRecovery(o ReproOptions) (string, error) {
-	r, err := sweep.FaultRecovery(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproducePolicyComparison runs every scheduling policy — FIFO, the
-// paper's TLs-One/TLs-RR, and the telemetry-driven TLs-LAS, TLs-SRSF
-// and TLs-Interleave — on the headline 21-job colocated-PS scenario and
-// reports avg/p95/max JCT per policy plus the best adaptive policy's
-// tail improvement over blind rotation.
-func ReproducePolicyComparison(o ReproOptions) (string, error) {
-	r, err := sweep.PolicySweep(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceTopology runs the leaf-spine fabric experiment: the
-// collective AlexNet rings swept across core oversubscription ratios
-// (1:1, 2:1, 4:1), placement strategies (naive spread vs CASSINI-style
-// network-aware packing) and scheduling policies, reporting per-cell
-// JCTs, cross-rack traffic ratios, peak core-link utilization and the
-// headline placement gaps — the in-network-contention axis the paper's
-// single-switch testbed cannot explore.
-func ReproduceTopology(o ReproOptions) (string, error) {
-	r, err := sweep.TopologySweep(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceScheduler runs the cluster-scheduler experiment: an online
-// stream of mixed PS + all-reduce arrivals on an oversubscribed
-// leaf-spine fabric, swept across cluster-scheduler placement policies
-// (random, pack, spread, network-aware, contention-aware, phase-aware)
-// crossed with end-host TensorLights policies, reporting per-cell
-// avg/p95 JCT, cross-rack traffic, phase shifts and the headline
-// spread-vs-smart placement gaps — how much of the contention fight a
-// smarter cluster tier wins before the end-host bands see a packet.
-func ReproduceScheduler(o ReproOptions) (string, error) {
-	r, err := sweep.SchedulerSweep(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceOpenWorld runs the open-world sweep: one unified stream of
-// PS, ring and tree jobs per cell, crossed over arrival processes
-// (Poisson, bursty, trace replay) × host fleets (homogeneous vs every
-// third host at 60% speed) × end-host policies (FIFO, TLs-RR, TLs-LAS,
-// TLs-SRSF) on the oversubscribed leaf-spine fabric with online
-// contention-aware placement, reporting per-cell avg/p95 JCT, job-kind
-// counts, cross-rack traffic and the headline heterogeneity tax.
-func ReproduceOpenWorld(o ReproOptions) (string, error) {
-	r, err := sweep.OpenWorldSweep(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceReplicate runs the replicate sweep: placement #1 under FIFO,
-// TLs-One and TLs-RR across consecutive seeds, reporting the average JCT
-// per policy with error bars.
-func ReproduceReplicate(o ReproOptions) (string, error) {
-	r, err := sweep.ReplicateSweep(o.sweep())
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
-
-// ReproduceChurn runs the arrival/departure comparison: a Poisson stream
-// of mixed-model jobs bin-packed onto the testbed, under FIFO, TLs-One
-// and TLs-RR.
-func ReproduceChurn(o ReproOptions) (string, error) {
-	r, err := sweep.ChurnSweep(o.sweep())
+	r, err := e.Run(sweep.Options{Steps: o.Steps, Seed: o.Seed, Parallelism: o.Parallelism})
 	if err != nil {
 		return "", err
 	}
@@ -907,38 +758,22 @@ func ReproduceChurn(o ReproOptions) (string, error) {
 }
 
 // ReplicateStats aggregates one headline metric across replicate seeds.
-type ReplicateStats struct {
-	N    int
-	Mean float64
-	Std  float64
-	Min  float64
-	Max  float64
-}
+type ReplicateStats = sweep.ReplicateStats
 
-// String renders mean ± std.
-func (r ReplicateStats) String() string {
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", r.Mean, r.Std, r.N)
-}
-
-// ReplicateExperiment runs cfg for n consecutive seeds starting at
-// cfg.Seed — fanned across parallelism concurrent trials (0 uses
+// ReplicateExperimentContext runs cfg for n consecutive seeds starting
+// at cfg.Seed — fanned across parallelism concurrent trials (0 uses
 // GOMAXPROCS, 1 runs sequentially) — and aggregates the average JCT.
 // Each trial owns an isolated simulation, so results are independent of
-// the parallelism level. TraceCSV is rejected: one writer cannot serve
+// the parallelism level. Once ctx is done no further seed starts and
+// in-flight trials stop between events (no stats are returned for an
+// interrupted sweep — a partial mean would be silently biased toward
+// fast seeds). TraceCSV is rejected: one writer cannot serve
 // concurrent trials.
-func ReplicateExperiment(cfg ExperimentConfig, n, parallelism int) (ReplicateStats, error) {
-	return ReplicateExperimentContext(context.Background(), cfg, n, parallelism)
-}
-
-// ReplicateExperimentContext is ReplicateExperiment with cancellation:
-// once ctx is done no further seed starts and in-flight trials stop
-// between events (no stats are returned for an interrupted sweep — a
-// partial mean would be silently biased toward fast seeds).
 func ReplicateExperimentContext(ctx context.Context, cfg ExperimentConfig, n, parallelism int) (ReplicateStats, error) {
 	if cfg.TraceCSV != nil {
-		return ReplicateStats{}, fmt.Errorf("tensorlights: ReplicateExperiment does not support TraceCSV; trace a single RunExperiment instead")
+		return ReplicateStats{}, fmt.Errorf("tensorlights: ReplicateExperimentContext does not support TraceCSV; trace a single RunExperiment instead")
 	}
-	s, err := sweep.ReplicateParallelContext(ctx, n, cfg.Seed, parallelism, func(ctx context.Context, seed int64) (float64, error) {
+	return sweep.Replicate(ctx, n, cfg.Seed, parallelism, func(ctx context.Context, seed int64) (float64, error) {
 		c := cfg
 		c.Seed = seed
 		res, err := RunExperimentContext(ctx, c)
@@ -947,10 +782,6 @@ func ReplicateExperimentContext(ctx context.Context, cfg ExperimentConfig, n, pa
 		}
 		return res.AvgJCT, nil
 	})
-	if err != nil {
-		return ReplicateStats{}, err
-	}
-	return ReplicateStats{N: s.N, Mean: s.Mean, Std: s.Std, Min: s.Min, Max: s.Max}, nil
 }
 
 // Models lists the built-in model zoo names.

@@ -145,17 +145,29 @@ func TestModelsAndPlacements(t *testing.T) {
 
 func TestReproduceFunctionsSmall(t *testing.T) {
 	o := ReproOptions{Steps: 400, Seed: 42}
-	for name, fn := range map[string]func(ReproOptions) (string, error){
-		"fig3":   ReproduceFigure3,
-		"fig6":   ReproduceFigure6,
-		"table2": ReproduceTableII,
-	} {
-		out, err := fn(o)
+	for _, name := range []string{"fig3", "fig6", "table2"} {
+		out, err := Reproduce(name, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(out) < 50 {
 			t.Fatalf("%s output too small:\n%s", name, out)
+		}
+	}
+}
+
+func TestReproduceRejectsUnknownName(t *testing.T) {
+	_, err := Reproduce("nosuch", ReproOptions{Steps: 300, Seed: 42})
+	if err == nil {
+		t.Fatal("unknown experiment accepted")
+	}
+	names := Experiments()
+	if len(names) != 14 {
+		t.Fatalf("Experiments() = %v, want the 14-entry catalogue", names)
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name experiment %q", err, name)
 		}
 	}
 }
@@ -230,12 +242,8 @@ func TestReproduceRemainingFigures(t *testing.T) {
 		t.Skip("multi-run reproduction in -short mode")
 	}
 	o := ReproOptions{Steps: 300, Seed: 42}
-	for name, fn := range map[string]func(ReproOptions) (string, error){
-		"fig2":  ReproduceFigure2,
-		"fig5a": ReproduceFigure5a,
-		"fig5b": ReproduceFigure5b,
-	} {
-		out, err := fn(o)
+	for _, name := range []string{"fig2", "fig5a", "fig5b"} {
+		out, err := Reproduce(name, o)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -470,7 +478,7 @@ func TestReproduceCollectiveSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run reproduction in -short mode")
 	}
-	out, err := ReproduceCollective(ReproOptions{Steps: 300, Seed: 42})
+	out, err := Reproduce("collective", ReproOptions{Steps: 300, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,13 +574,13 @@ func TestReproduceSchedulerSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the 36-trial scheduler grid")
 	}
-	out, err := ReproduceScheduler(ReproOptions{Steps: 300, Seed: 42, Parallelism: 4})
+	out, err := Reproduce("scheduler", ReproOptions{Steps: 300, Seed: 42, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"contention-aware", "phase-aware", "spread", "naive spread avg JCT"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("ReproduceScheduler output missing %q:\n%s", want, out)
+			t.Fatalf("scheduler output missing %q:\n%s", want, out)
 		}
 	}
 }
