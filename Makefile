@@ -90,3 +90,4 @@ fuzz:
 	$(GO) test ./internal/qdisc -run '^$$' -fuzz '^FuzzHTBDequeue$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzPolicyRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flownet -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/flownet -run '^$$' -fuzz '^FuzzEngineOps$$' -fuzztime $(FUZZTIME)

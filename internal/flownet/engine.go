@@ -1,9 +1,9 @@
 package flownet
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/sim"
@@ -23,24 +23,23 @@ const settleLogLen = 4096
 // completion event instead.
 const completionEps = 1.0 / 16
 
-// flowState is the engine's record of one active flow.
+// flowState is the engine's record of one active flow. Its remaining
+// demand and current rate live in the engine's dense rem and rate
+// arrays at index pos, so the per-flow scans read contiguous floats.
 type flowState struct {
-	id        FlowID
-	seq       uint64 // insertion sequence; orders solver input deterministically
-	links     []int
-	bandLink  int
-	band      int
-	weight    float64
-	remaining float64 // payload bytes still to serve
-	rate      float64 // current allocation, bytes/sec
-	tag       any
+	id       FlowID
+	pos      int // index in Engine.order, rem and rate
+	links    []int
+	bandLink int
+	band     int
+	weight   float64
+	tag      any
 
 	// attLinks is links plus bandLink (deduplicated) — every link whose
 	// state couples this flow to others. attPos[i] is the flow's index
 	// in linkFlows[attLinks[i]], for O(1) detach.
 	attLinks []int
 	attPos   []int
-	inComp   bool // scratch: member of the component being re-solved
 }
 
 // Engine advances fluid flows on a discrete-event kernel. It keeps the
@@ -75,8 +74,12 @@ type flowState struct {
 //     max-min allocations are independent across link-disjoint sets.
 //
 // The engine is deterministic: flows advance and complete in insertion
-// order, and each component's solver input is sorted by insertion
-// sequence, so equal-seed runs produce identical event sequences.
+// order, and each component's solver input is in insertion order too,
+// so equal-seed runs produce identical event sequences. order is kept
+// in insertion order (removals splice, completions compact), so a
+// flow's position in it is its insertion rank: the BFS marks members in
+// a position bitset and reads the component off it in order, with no
+// sort.
 type Engine struct {
 	k      *sim.Kernel
 	onDone func(id FlowID, tag any)
@@ -100,13 +103,17 @@ type Engine struct {
 	dirtyLinks []int
 	visitMark  []bool // BFS scratch, always false between resolves
 
-	flows   map[FlowID]*flowState
-	order   []*flowState
-	free    []*flowState // retired flowStates for reuse
-	nextSeq uint64
-	lastT   float64
-	next    sim.Ticket // armed completion event (zero when none)
-	nextAt  float64
+	// order holds the active flows in insertion order; rem (payload
+	// bytes still to serve) and rate (current allocation, bytes/sec)
+	// run parallel to it.
+	flows  map[FlowID]*flowState
+	order  []*flowState
+	rem    []float64
+	rate   []float64
+	free   []*flowState // retired flowStates for reuse
+	lastT  float64
+	next   sim.Ticket // armed completion event (zero when none)
+	nextAt float64
 
 	// dirty marks the allocation stale; a pooled same-timestamp kernel
 	// event (flushFn) performs the deferred recompute. Both callbacks
@@ -120,9 +127,10 @@ type Engine struct {
 	srates     []float64
 	compFlows  []*flowState
 	compLinks  []int
+	compMark   []uint64 // BFS scratch bitset by pos, all zero between resolves
 	queue      []int
 	doneBuf    []*flowState
-	backlogBuf []*flowState
+	backlogBuf []int
 	resolves   uint64
 }
 
@@ -202,17 +210,26 @@ func (e *Engine) LinkBacklogBytes(l int) float64 {
 	buf := e.backlogBuf[:0]
 	for _, fs := range e.linkFlows[l] {
 		if slices.Contains(fs.links, l) {
-			buf = append(buf, fs)
+			buf = append(buf, fs.pos)
 		}
 	}
-	slices.SortFunc(buf, func(a, b *flowState) int { return cmp.Compare(a.seq, b.seq) })
+	slices.Sort(buf)
 	var b float64
-	for _, fs := range buf {
-		b += fs.remaining
+	for _, p := range buf {
+		b += e.rem[p]
 	}
-	clear(buf)
 	e.backlogBuf = buf[:0]
 	return b
+}
+
+// ForEachOnLink visits the active flows attached to link l — those
+// crossing it and those it gates as their band link — with their
+// remaining demand, in no fixed order. The callback must not mutate the
+// engine.
+func (e *Engine) ForEachOnLink(l int, fn func(id FlowID, tag any, remaining float64)) {
+	for _, fs := range e.linkFlows[l] {
+		fn(fs.id, fs.tag, e.rem[fs.pos])
+	}
 }
 
 // ActiveFlows returns the number of in-flight flows.
@@ -233,11 +250,12 @@ func (e *Engine) advance(now float64) {
 		return
 	}
 	e.lastT = now
-	for _, fs := range e.order {
-		if fs.rate > 0 {
-			fs.remaining -= fs.rate * dt
-			if fs.remaining < 0 {
-				fs.remaining = 0
+	rem := e.rem
+	for i, r := range e.rate {
+		if r > 0 {
+			rem[i] -= r * dt
+			if rem[i] < 0 {
+				rem[i] = 0
 			}
 		}
 	}
@@ -255,7 +273,9 @@ func (e *Engine) advance(now float64) {
 // log. The link's rate and capacity have been constant since its last
 // settle, so each logged interval adds exactly what an eager per-advance
 // update would, in the same order; the sum is never collapsed into
-// r*Σdt, which would round differently.
+// r*Σdt, which would round differently. Both counters settle in one
+// pass: each keeps its own add chain, so interleaving them changes no
+// bits.
 func (e *Engine) syncLink(l int) {
 	from := e.linkSynced[l]
 	e.linkSynced[l] = len(e.dts)
@@ -265,10 +285,6 @@ func (e *Engine) syncLink(l int) {
 	}
 	dts := e.dts[from:]
 	s := e.served[l]
-	for _, dt := range dts {
-		s += r * dt
-	}
-	e.served[l] = s
 	if c := e.caps[l]; c > 0 {
 		u := r / c
 		if u > 1 {
@@ -276,10 +292,16 @@ func (e *Engine) syncLink(l int) {
 		}
 		b := e.busy[l]
 		for _, dt := range dts {
+			s += r * dt
 			b += u * dt
 		}
 		e.busy[l] = b
+	} else {
+		for _, dt := range dts {
+			s += r * dt
+		}
 	}
+	e.served[l] = s
 }
 
 // attach indexes the flow under every link that couples it to others.
@@ -366,17 +388,16 @@ func (e *Engine) AddFlow(id FlowID, links []int, bandLink, band int, weight, byt
 		fs = &flowState{}
 	}
 	fs.id = id
-	fs.seq = e.nextSeq
+	fs.pos = len(e.order)
 	fs.links = append(fs.links[:0], links...)
 	fs.bandLink = bandLink
 	fs.band = band
 	fs.weight = weight
-	fs.remaining = bytes
-	fs.rate = 0
 	fs.tag = tag
-	e.nextSeq++
 	e.flows[id] = fs
 	e.order = append(e.order, fs)
+	e.rem = append(e.rem, bytes)
+	e.rate = append(e.rate, 0)
 	e.attach(fs)
 	e.markFlowDirty(fs)
 	e.markDirty()
@@ -428,11 +449,14 @@ func (e *Engine) RemoveFlow(id FlowID) bool {
 	e.markFlowDirty(fs)
 	e.detach(fs)
 	delete(e.flows, id)
-	for i, o := range e.order {
-		if o == fs {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
+	i, n := fs.pos, len(e.order)-1
+	copy(e.order[i:], e.order[i+1:])
+	copy(e.rem[i:], e.rem[i+1:])
+	copy(e.rate[i:], e.rate[i+1:])
+	e.order[n] = nil
+	e.order, e.rem, e.rate = e.order[:n], e.rem[:n], e.rate[:n]
+	for j := i; j < n; j++ {
+		e.order[j].pos = j
 	}
 	e.release(fs)
 	e.markDirty()
@@ -445,7 +469,7 @@ func (e *Engine) Remaining(id FlowID) (float64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return fs.remaining, true
+	return e.rem[fs.pos], true
 }
 
 // Rate returns a flow's current allocation in bytes/sec.
@@ -455,7 +479,7 @@ func (e *Engine) Rate(id FlowID) (float64, bool) {
 		return 0, false
 	}
 	e.ensureResolved()
-	return fs.rate, true
+	return e.rate[fs.pos], true
 }
 
 // ForEach visits active flows in insertion order. The callback may call
@@ -504,12 +528,22 @@ func (e *Engine) ensureResolved() {
 // is reached, and contributes all its links in turn. Flows outside the
 // closure share no constraint with any mutated flow or link, so their
 // max-min rates are unchanged by construction.
+//
+// Members are marked in the compMark bitset by position and read off
+// it word by word, which yields them in insertion order. The solver's
+// allocation is order-independent, but a fixed input order pins its
+// floating-point evaluation, so results do not depend on the link
+// index's swap-remove order.
 func (e *Engine) resolve() {
 	e.dirty = false
 	e.resolves++
 
+	if w := (len(e.order) + 63) / 64; len(e.compMark) < w {
+		e.compMark = append(e.compMark, make([]uint64, w-len(e.compMark))...)
+	}
+	mark := e.compMark
+	members := 0
 	e.queue = e.queue[:0]
-	e.compFlows = e.compFlows[:0]
 	e.compLinks = e.compLinks[:0]
 	for _, l := range e.dirtyLinks {
 		e.dirtyMark[l] = false
@@ -523,11 +557,12 @@ func (e *Engine) resolve() {
 		l := e.queue[i]
 		e.compLinks = append(e.compLinks, l)
 		for _, fs := range e.linkFlows[l] {
-			if fs.inComp {
+			w, b := fs.pos>>6, uint64(1)<<(fs.pos&63)
+			if mark[w]&b != 0 {
 				continue
 			}
-			fs.inComp = true
-			e.compFlows = append(e.compFlows, fs)
+			mark[w] |= b
+			members++
 			for _, al := range fs.attLinks {
 				if !e.visitMark[al] {
 					e.visitMark[al] = true
@@ -540,33 +575,26 @@ func (e *Engine) resolve() {
 		e.visitMark[l] = false
 	}
 
-	if len(e.compFlows) > 0 {
-		// Solver input in insertion order: the allocation itself is
-		// order-independent, but fixing the order pins the floating-point
-		// evaluation so results do not depend on adjacency internals.
-		// Insertion sort: BFS discovers flows roughly in insertion order
-		// (link lists append in arrival order), so this is near-linear,
-		// and unlike sort.Slice it does not allocate.
-		cf := e.compFlows
-		for i := 1; i < len(cf); i++ {
-			fs := cf[i]
-			j := i - 1
-			for j >= 0 && cf[j].seq > fs.seq {
-				cf[j+1] = cf[j]
-				j--
-			}
-			cf[j+1] = fs
+	cf := e.compFlows[:0]
+	for w := 0; len(cf) < members; w++ {
+		word := mark[w]
+		mark[w] = 0
+		for ; word != 0; word &= word - 1 {
+			cf = append(cf, e.order[w<<6|bits.TrailingZeros64(word)])
 		}
+	}
+	e.compFlows = cf
+
+	if len(cf) > 0 {
 		e.sflows = e.sflows[:0]
-		for _, fs := range e.compFlows {
+		for _, fs := range cf {
 			e.sflows = append(e.sflows, Flow{
 				Links: fs.links, Weight: fs.weight, Band: fs.band, BandLink: fs.bandLink,
 			})
 		}
 		e.srates = e.solver.Solve(e.caps, e.sflows, e.srates[:0])
-		for i, fs := range e.compFlows {
-			fs.rate = e.srates[i]
-			fs.inComp = false
+		for i, fs := range cf {
+			e.rate[fs.pos] = e.srates[i]
 		}
 	}
 	// Refresh the component's link aggregates; untouched links keep
@@ -575,12 +603,13 @@ func (e *Engine) resolve() {
 		e.syncLink(l)
 		e.linkRate[l] = 0
 	}
-	for _, fs := range e.compFlows {
-		if fs.rate <= 0 {
+	for _, fs := range cf {
+		r := e.rate[fs.pos]
+		if r <= 0 {
 			continue
 		}
 		for _, l := range fs.links {
-			e.linkRate[l] += fs.rate
+			e.linkRate[l] += r
 		}
 	}
 	e.schedule()
@@ -594,11 +623,12 @@ func (e *Engine) resolve() {
 // allocating per resolve.
 func (e *Engine) schedule() {
 	t := math.MaxFloat64
-	for _, fs := range e.order {
-		if fs.rate <= 0 {
+	rem := e.rem
+	for i, r := range e.rate {
+		if r <= 0 {
 			continue
 		}
-		if at := e.lastT + fs.remaining/fs.rate; at < t {
+		if at := e.lastT + rem[i]/r; at < t {
 			t = at
 		}
 	}
@@ -627,21 +657,23 @@ func (e *Engine) completions() {
 	e.next = sim.Ticket{}
 	e.advance(e.k.Now())
 	done := e.doneBuf[:0]
-	kept := e.order[:0]
-	for _, fs := range e.order {
-		if fs.remaining <= completionEps {
+	kept := 0
+	for i, fs := range e.order {
+		if e.rem[i] <= completionEps {
 			done = append(done, fs)
 			delete(e.flows, fs.id)
 			e.markFlowDirty(fs)
 			e.detach(fs)
-		} else {
-			kept = append(kept, fs)
+			continue
 		}
+		if kept != i {
+			e.order[kept], e.rem[kept], e.rate[kept] = fs, e.rem[i], e.rate[i]
+			fs.pos = kept
+		}
+		kept++
 	}
-	for i := len(kept); i < len(e.order); i++ {
-		e.order[i] = nil
-	}
-	e.order = kept
+	clear(e.order[kept:])
+	e.order, e.rem, e.rate = e.order[:kept], e.rem[:kept], e.rate[:kept]
 	e.doneBuf = done[:0]
 	e.resolve()
 	for _, fs := range done {
