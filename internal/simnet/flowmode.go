@@ -373,7 +373,8 @@ func (f *Fabric) EgressReconfigured(host int) {
 // sent per egress priority band from host — the analytic analogue of
 // the qdisc's per-band dequeued-bytes counters, which stay zero when no
 // chunks exist. Returns nil in chunk mode (callers fall back to the
-// qdisc counters).
+// qdisc counters). Every flow from host crosses the host's egress link
+// and no other flow does, so only that link's flows are visited.
 func (f *Fabric) FlowBandBytes(host int) map[int]uint64 {
 	fm := f.flow
 	if fm == nil {
@@ -384,14 +385,9 @@ func (f *Fabric) FlowBandBytes(host int) map[int]uint64 {
 	for band, b := range fm.bandDone[host] {
 		m[band] = uint64(b)
 	}
-	fm.eng.ForEach(func(id flownet.FlowID, tag any) {
+	fm.eng.ForEachOnLink(fm.egressLink[host], func(_ flownet.FlowID, tag any, rem float64) {
 		fl := tag.(*Flow)
-		if fl.Spec.Src != host {
-			return
-		}
-		if rem, ok := fm.eng.Remaining(id); ok {
-			m[fl.flowBand] += uint64(float64(fl.Spec.Bytes) - rem)
-		}
+		m[fl.flowBand] += uint64(float64(fl.Spec.Bytes) - rem)
 	})
 	return m
 }
