@@ -26,9 +26,9 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# Race-detect the whole module: psrpc runs real goroutines and sockets,
-# and sweep's parallel Engine drives concurrent simulations (now
-# including the collective workload), so nothing is exempt.
+# Race-detect the whole module: sweep's parallel Engine drives
+# concurrent simulations and tlsimd serves jobs from worker goroutines,
+# so nothing is exempt.
 race:
 	$(GO) test -race -timeout 45m ./...
 

@@ -267,6 +267,25 @@ func TestHTTPSubmitRejectsUnknownPolicy(t *testing.T) {
 			t.Fatalf("policy %d: %d, want 400", pol, resp.StatusCode)
 		}
 	}
+	assertNothingAdmitted(t, s, cfg)
+}
+
+// A negative count must not fall back to the full-scale default: the
+// submit is refused before it is queued, journaled or priced.
+func TestHTTPSubmitRejectsNegativeSteps(t *testing.T) {
+	cfg := testConfig(t)
+	s, ts := httpServer(t, cfg)
+	bad := expCfg(1)
+	bad.Steps = -1
+	resp, _ := postJob(t, ts, bad, "c1")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("Steps -1: %d, want 400", resp.StatusCode)
+	}
+	assertNothingAdmitted(t, s, cfg)
+}
+
+func assertNothingAdmitted(t *testing.T, s *Server, cfg Config) {
+	t.Helper()
 	if jobs := s.List(); len(jobs) != 0 {
 		t.Fatalf("rejected submissions were admitted: %+v", jobs)
 	}

@@ -416,7 +416,7 @@ func (s *Server) Submit(cfg tensorlights.ExperimentConfig, timeoutSec float64, c
 	if cfg.TraceCSV != nil {
 		return nil, errors.New("server: TraceCSV is not supported for submitted jobs")
 	}
-	if err := cfg.Policy.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	hash, err := HashConfig(cfg)

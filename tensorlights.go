@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/cluster"
@@ -220,6 +221,52 @@ type ExperimentConfig struct {
 	// ignored — the scheduler tier owns placement. Incompatible with
 	// Scheduler.
 	OpenWorld *OpenWorldConfig
+}
+
+// Validate rejects a config the run would otherwise misread: an
+// unknown Policy, or a negative, NaN or infinite count, interval or
+// rate, which would silently fall back to the (full-scale) default.
+// Zero still means "use the default". Fields a lower layer already
+// checks (buckets, ring stride, topology, placement) are left to it.
+func (cfg ExperimentConfig) Validate() error {
+	if err := cfg.Policy.Validate(); err != nil {
+		return err
+	}
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{
+		{"NumJobs", float64(cfg.NumJobs)},
+		{"LocalBatch", float64(cfg.LocalBatch)},
+		{"Steps", float64(cfg.Steps)},
+		{"Bands", float64(cfg.Bands)},
+		{"RotateIntervalSec", cfg.RotateIntervalSec},
+		{"FeedbackIntervalSec", cfg.FeedbackIntervalSec},
+	}
+	if c := cfg.Collective; c != nil {
+		fields = append(fields,
+			field{"Collective.Jobs", float64(c.Jobs)},
+			field{"Collective.Ranks", float64(c.Ranks)},
+			field{"Collective.LocalBatch", float64(c.LocalBatch)},
+			field{"Collective.Iterations", float64(c.Iterations)})
+	}
+	if s := cfg.Scheduler; s != nil {
+		fields = append(fields,
+			field{"Scheduler.Jobs", float64(s.Jobs)},
+			field{"Scheduler.ArrivalRatePerSec", s.ArrivalRatePerSec})
+	}
+	if o := cfg.OpenWorld; o != nil {
+		fields = append(fields,
+			field{"OpenWorld.Jobs", float64(o.Jobs)},
+			field{"OpenWorld.ArrivalRatePerSec", o.ArrivalRatePerSec})
+	}
+	for _, f := range fields {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("tensorlights: %s = %v: want a finite value >= 0 (0 = default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // SchedulerConfig describes the online cluster-scheduler experiment.
@@ -430,7 +477,7 @@ func RunExperiment(cfg ExperimentConfig) (*Result, error) {
 // written, preceded by a "# partial trace" comment line so a truncated
 // dump can never be mistaken for a complete run.
 func RunExperimentContext(ctx context.Context, cfg ExperimentConfig) (*Result, error) {
-	if err := cfg.Policy.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	switch cfg.FabricMode {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -590,5 +591,45 @@ func TestRunExperimentRejectsUnknownPolicy(t *testing.T) {
 		if _, err := RunExperiment(ExperimentConfig{Policy: pol, Steps: 100}); err == nil {
 			t.Errorf("Policy(%d) ran instead of failing", int(pol))
 		}
+	}
+}
+
+func TestExperimentConfigValidate(t *testing.T) {
+	cases := []struct {
+		field string
+		cfg   ExperimentConfig
+	}{
+		{"NumJobs", ExperimentConfig{NumJobs: -3}},
+		{"LocalBatch", ExperimentConfig{LocalBatch: -1}},
+		{"Steps", ExperimentConfig{Steps: -5}},
+		{"Bands", ExperimentConfig{Bands: -1}},
+		{"RotateIntervalSec", ExperimentConfig{RotateIntervalSec: -1}},
+		{"RotateIntervalSec", ExperimentConfig{RotateIntervalSec: math.NaN()}},
+		{"FeedbackIntervalSec", ExperimentConfig{FeedbackIntervalSec: math.Inf(1)}},
+		{"Collective.Jobs", ExperimentConfig{Collective: &CollectiveConfig{Jobs: -2}}},
+		{"Collective.Ranks", ExperimentConfig{Collective: &CollectiveConfig{Ranks: -1}}},
+		{"Collective.LocalBatch", ExperimentConfig{Collective: &CollectiveConfig{LocalBatch: -1}}},
+		{"Collective.Iterations", ExperimentConfig{Collective: &CollectiveConfig{Iterations: -1}}},
+		{"Scheduler.Jobs", ExperimentConfig{Scheduler: &SchedulerConfig{Jobs: -1}}},
+		{"Scheduler.ArrivalRatePerSec", ExperimentConfig{Scheduler: &SchedulerConfig{ArrivalRatePerSec: -0.5}}},
+		{"OpenWorld.Jobs", ExperimentConfig{OpenWorld: &OpenWorldConfig{Jobs: -1}}},
+		{"OpenWorld.ArrivalRatePerSec", ExperimentConfig{OpenWorld: &OpenWorldConfig{ArrivalRatePerSec: math.NaN()}}},
+	}
+	for _, c := range cases {
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field+" = ") {
+			t.Errorf("%s: Validate() = %v, want an error naming the field", c.field, err)
+		}
+		if _, runErr := RunExperiment(c.cfg); runErr == nil || runErr.Error() != err.Error() {
+			t.Errorf("%s: RunExperiment err = %v, want %v", c.field, runErr, err)
+		}
+	}
+	zero := ExperimentConfig{
+		Collective: &CollectiveConfig{},
+		Scheduler:  &SchedulerConfig{},
+		OpenWorld:  &OpenWorldConfig{},
+	}
+	if err := zero.Validate(); err != nil {
+		t.Fatalf("zero values (= defaults) rejected: %v", err)
 	}
 }
