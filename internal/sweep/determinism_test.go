@@ -14,11 +14,17 @@ import (
 	"repro/internal/simnet"
 )
 
+// output is one run's CSV and rendered table.
+type output struct {
+	csv    []byte
+	render string
+}
+
 // runBoth runs one experiment at Parallelism 1 and 4 and returns both
-// CSVs.
-func runBoth(t *testing.T, e Experiment) (seq, par []byte) {
+// outputs.
+func runBoth(t *testing.T, e Experiment) (seq, par output) {
 	t.Helper()
-	render := func(parallelism int) []byte {
+	run := func(parallelism int) output {
 		o := Options{Steps: 300, Seed: 42, Parallelism: parallelism}
 		res, err := e.Run(o)
 		if err != nil {
@@ -28,17 +34,19 @@ func runBoth(t *testing.T, e Experiment) (seq, par []byte) {
 		if err := res.WriteCSV(&buf); err != nil {
 			t.Fatalf("%s WriteCSV: %v", e.Name, err)
 		}
-		return buf.Bytes()
+		return output{buf.Bytes(), res.Render()}
 	}
-	return render(1), render(4)
+	return run(1), run(4)
 }
 
 // TestSweepsDeterministicSequentialVsParallel asserts the acceptance
 // contract of the parallel Engine: for every sweep, the same seed
-// yields byte-identical CSV output whether trials run sequentially or
-// across the worker pool. Where testdata/golden_<name>.csv exists, the
-// sequential CSV must also match it byte for byte, so a change that
-// shifts both legs the same way is still caught.
+// yields byte-identical CSV and rendered output whether trials run
+// sequentially or across the worker pool. The sequential rendered table
+// must match testdata/golden_<name>.txt and, where
+// testdata/golden_<name>.csv exists, the sequential CSV must match it
+// byte for byte, so a change that shifts both legs the same way is
+// still caught.
 func TestSweepsDeterministicSequentialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sweep twice")
@@ -46,18 +54,23 @@ func TestSweepsDeterministicSequentialVsParallel(t *testing.T) {
 	for _, e := range Experiments {
 		t.Run(e.Name, func(t *testing.T) {
 			seq, par := runBoth(t, e)
-			if len(seq) == 0 {
+			if len(seq.csv) == 0 {
 				t.Fatalf("%s produced an empty CSV", e.Name)
 			}
-			if !bytes.Equal(seq, par) {
+			if !bytes.Equal(seq.csv, par.csv) {
 				t.Fatalf("%s CSV differs between sequential and parallel runs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-					e.Name, seq, par)
+					e.Name, seq.csv, par.csv)
 			}
+			if seq.render != par.render {
+				t.Fatalf("%s Render differs between sequential and parallel runs:\n--- sequential ---\n%s\n--- parallel ---\n%s",
+					e.Name, seq.render, par.render)
+			}
+			compareGolden(t, "golden_"+e.Name+".txt", []byte(seq.render))
 			golden := "golden_" + e.Name + ".csv"
 			if _, err := os.Stat(filepath.Join("testdata", golden)); errors.Is(err, fs.ErrNotExist) {
 				return
 			}
-			compareGolden(t, golden, seq)
+			compareGolden(t, golden, seq.csv)
 		})
 	}
 }
