@@ -125,15 +125,18 @@ type ChurnSweepResult struct {
 	Rows []ChurnSweepRow
 }
 
-// Render prints the churn comparison.
-func (r *ChurnSweepResult) Render() string {
-	t := NewTable("Churn: Poisson arrivals of mixed jobs, bin-packed PSes",
-		"policy", "avg JCT (s)", "p95 JCT (s)", "makespan (s)", "reconfigs", "max coloc")
-	for _, row := range r.Rows {
-		t.AddRow(row.Policy, row.AvgJCT, row.P95JCT, row.MakespanSec,
-			row.Reconfigs, row.MaxColocation)
+func (r *ChurnSweepResult) report() report {
+	return report{
+		title: "Churn: Poisson arrivals of mixed jobs, bin-packed PSes",
+		sections: []section{{len(r.Rows), []column{
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"makespan_s", "makespan (s)", "", func(i int) any { return r.Rows[i].MakespanSec }},
+			{"reconfigs", "reconfigs", "", func(i int) any { return r.Rows[i].Reconfigs }},
+			{"max_colocation", "max coloc", "", func(i int) any { return r.Rows[i].MaxColocation }},
+		}}},
 	}
-	return t.String()
 }
 
 // churnSweepOptions derives the per-policy ChurnOptions from the suite

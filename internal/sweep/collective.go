@@ -66,26 +66,26 @@ func (r *CollectiveResult) Row(scenario, policy string) (CollectiveRow, bool) {
 	return CollectiveRow{}, false
 }
 
-// Render prints the comparison table.
-func (r *CollectiveResult) Render() string {
-	t := NewTable("Collective workloads: ring all-reduce under TensorLights (aligned rings)",
-		"scenario", "policy", "avg JCT (s)", "p95 JCT (s)", "PS avg (s)", "all-reduce avg (s)", "reconfigs")
-	for _, row := range r.Rows {
-		ps := "-"
-		if row.PSAvg > 0 {
-			ps = fmt.Sprintf("%.4g", row.PSAvg)
-		}
-		t.AddRow(row.Scenario, row.Policy, row.AvgJCT, row.P95JCT, ps,
-			row.AllReduceAvg, row.Reconfigs)
+func (r *CollectiveResult) report() report {
+	rep := report{
+		title: "Collective workloads: ring all-reduce under TensorLights (aligned rings)",
+		sections: []section{{len(r.Rows), []column{
+			{"scenario", "scenario", "", func(i int) any { return r.Rows[i].Scenario }},
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"ps_avg_jct_s", "PS avg (s)", orDash, func(i int) any { return r.Rows[i].PSAvg }},
+			{"allreduce_avg_jct_s", "all-reduce avg (s)", "", func(i int) any { return r.Rows[i].AllReduceAvg }},
+			{"reconfigs", "reconfigs", "", func(i int) any { return r.Rows[i].Reconfigs }},
+		}}},
 	}
-	out := t.String()
-	if fifo, ok1 := r.Row(ScenarioMixed, core.PolicyRR); ok1 {
+	if rr, ok1 := r.Row(ScenarioMixed, core.PolicyRR); ok1 {
 		if base, ok2 := r.Row(ScenarioMixed, core.PolicyFIFO); ok2 && base.P95JCT > 0 {
-			out += fmt.Sprintf("mixed cluster: TLs-RR p95 JCT %.4g s vs FIFO %.4g s (%.0f%% reduction)\n",
-				fifo.P95JCT, base.P95JCT, 100*(1-fifo.P95JCT/base.P95JCT))
+			rep.footer = fmt.Sprintf("mixed cluster: TLs-RR p95 JCT %.4g s vs FIFO %.4g s (%.0f%% reduction)\n",
+				rr.P95JCT, base.P95JCT, 100*(1-rr.P95JCT/base.P95JCT))
 		}
 	}
-	return out
+	return rep
 }
 
 // collectiveRunConfigs builds the experiment's 2 scenarios x 3 policies.

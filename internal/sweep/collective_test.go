@@ -113,7 +113,7 @@ func TestCollectiveShape(t *testing.T) {
 		t.Fatalf("TLs-RR p95 %.2f did not beat FIFO p95 %.2f on the mixed cluster",
 			rrMix.P95JCT, fifoMix.P95JCT)
 	}
-	out := r.Render()
+	out := r.report().Render()
 	for _, want := range []string{"mixed", "allreduce", "TLs-RR", "reduction"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
@@ -129,10 +129,10 @@ func TestCollectiveDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var csv strings.Builder
-		if err := r.WriteCSV(&csv); err != nil {
+		if err := r.report().WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
-		return r.Render(), csv.String()
+		return r.report().Render(), csv.String()
 	}
 	table1, csv1 := render()
 	table2, csv2 := render()

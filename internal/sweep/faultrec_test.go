@@ -166,7 +166,7 @@ func TestFaultRecoveryExperiment(t *testing.T) {
 			t.Errorf("%s: reconcile repaired nothing after outages", row.Policy)
 		}
 	}
-	out := r.Render()
+	out := r.report().Render()
 	if len(out) == 0 {
 		t.Fatal("empty render")
 	}
@@ -182,8 +182,8 @@ func TestFaultRecoveryDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Render() != b.Render() {
-		t.Fatalf("same seed rendered differently:\n%s\nvs\n%s", a.Render(), b.Render())
+	if a.report().Render() != b.report().Render() {
+		t.Fatalf("same seed rendered differently:\n%s\nvs\n%s", a.report().Render(), b.report().Render())
 	}
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {

@@ -2,7 +2,7 @@ package sweep
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -85,16 +85,18 @@ func (r *Figure2Result) PerformanceGap() float64 {
 	return 100 * (worst - best) / best
 }
 
-// Render prints the figure's data as a table.
-func (r *Figure2Result) Render() string {
-	t := NewTable("Figure 2: JCT of concurrent DL jobs under various PS placements (FIFO)",
-		"placement", "groups", "avg JCT (s)", "min (s)", "max (s)")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("#%d", row.Placement.Index), row.Placement.String(),
-			row.Avg, row.Min, row.Max)
+func (r *Figure2Result) report() report {
+	return report{
+		title: "Figure 2: JCT of concurrent DL jobs under various PS placements (FIFO)",
+		sections: []section{{len(r.Rows), []column{
+			{"placement", "placement", "#%d", func(i int) any { return r.Rows[i].Placement.Index }},
+			{"groups", "groups", "", func(i int) any { return r.Rows[i].Placement.String() }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].Avg }},
+			{"min_jct_s", "min (s)", "", func(i int) any { return r.Rows[i].Min }},
+			{"max_jct_s", "max (s)", "", func(i int) any { return r.Rows[i].Max }},
+		}}},
+		footer: fmt.Sprintf("performance gap (worst vs best avg JCT): %.0f%%\n", r.PerformanceGap()),
 	}
-	return t.String() + fmt.Sprintf("performance gap (worst vs best avg JCT): %.0f%%\n",
-		r.PerformanceGap())
 }
 
 // Figure2 runs FIFO across all Table I placements.
@@ -133,6 +135,10 @@ type WaitDist struct {
 	Summary metrics.Summary
 }
 
+func waitDist(label string, samples []float64) WaitDist {
+	return WaitDist{Label: label, Samples: samples, Summary: metrics.Summarize(samples)}
+}
+
 // Figure3Result reproduces Figure 3: distributions of per-barrier wait
 // time average (a) and variance (b) under placements #1 and #8, FIFO.
 type Figure3Result struct {
@@ -151,17 +157,47 @@ func (r *Figure3Result) VarRatio() float64 {
 	return metrics.Ratio(r.VarP1.Summary.Mean, r.VarP8.Summary.Mean)
 }
 
-// Render prints distribution summaries and the headline ratios.
-func (r *Figure3Result) Render() string {
-	t := NewTable("Figure 3: barrier wait time under placements #1 and #8 (FIFO)",
-		"series", "n", "mean", "median", "p90", "max")
-	for _, d := range []WaitDist{r.MeanP1, r.MeanP8, r.VarP1, r.VarP8} {
-		t.AddRow(d.Label, d.Summary.Count, d.Summary.Mean, d.Summary.Median,
-			d.Summary.P90, d.Summary.Max)
+func (r *Figure3Result) report() report {
+	dists := []WaitDist{r.MeanP1, r.MeanP8, r.VarP1, r.VarP8}
+	series := []string{r.MeanP1.Label, r.MeanP8.Label, r.VarP1.Label, r.VarP8.Label}
+	return report{
+		title:    "Figure 3: barrier wait time under placements #1 and #8 (FIFO)",
+		sections: waitSections(dists, series),
+		footer: fmt.Sprintf("avg wait ratio #1/#8: %.2fx (paper: 3.71x)\nvariance ratio #1/#8: %.2fx (paper: 4.37x)\n",
+			r.MeanRatio(), r.VarRatio()),
 	}
-	return t.String() + fmt.Sprintf(
-		"avg wait ratio #1/#8: %.2fx (paper: 3.71x)\nvariance ratio #1/#8: %.2fx (paper: 4.37x)\n",
-		r.MeanRatio(), r.VarRatio())
+}
+
+// cdfPoints is the resolution of exported CDFs.
+const cdfPoints = 200
+
+// waitSections are Figures 3 and 6's sections: a table-only summary row
+// per distribution, titled by its label, and a CSV-only section of each
+// distribution's CDF as (series, x, p) points.
+func waitSections(dists []WaitDist, series []string) []section {
+	var names []string
+	var pts [][2]float64
+	for i, d := range dists {
+		for _, pt := range metrics.NewCDF(d.Samples).Points(cdfPoints) {
+			names = append(names, series[i])
+			pts = append(pts, pt)
+		}
+	}
+	return []section{
+		{len(dists), []column{
+			{"", "series", "", func(i int) any { return dists[i].Label }},
+			{"", "n", "", func(i int) any { return dists[i].Summary.Count }},
+			{"", "mean", "", func(i int) any { return dists[i].Summary.Mean }},
+			{"", "median", "", func(i int) any { return dists[i].Summary.Median }},
+			{"", "p90", "", func(i int) any { return dists[i].Summary.P90 }},
+			{"", "max", "", func(i int) any { return dists[i].Summary.Max }},
+		}},
+		{len(pts), []column{
+			{"series", "", "", func(i int) any { return names[i] }},
+			{"x", "", "", func(i int) any { return pts[i][0] }},
+			{"p", "", "", func(i int) any { return pts[i][1] }},
+		}},
+	}
 }
 
 // Figure3 runs FIFO on placements #1 and #8 and collects wait stats.
@@ -176,14 +212,11 @@ func Figure3(o Options) (*Figure3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(label string, samples []float64) WaitDist {
-		return WaitDist{Label: label, Samples: samples, Summary: metrics.Summarize(samples)}
-	}
 	return &Figure3Result{
-		MeanP1: mk("avg wait, placement #1", results[0].BarrierMeans),
-		MeanP8: mk("avg wait, placement #8", results[1].BarrierMeans),
-		VarP1:  mk("wait variance, placement #1", results[0].BarrierVars),
-		VarP8:  mk("wait variance, placement #8", results[1].BarrierVars),
+		MeanP1: waitDist("avg wait, placement #1", results[0].BarrierMeans),
+		MeanP8: waitDist("avg wait, placement #8", results[1].BarrierMeans),
+		VarP1:  waitDist("wait variance, placement #1", results[0].BarrierVars),
+		VarP8:  waitDist("wait variance, placement #8", results[1].BarrierVars),
 	}, nil
 }
 
@@ -219,17 +252,19 @@ func (r *Figure5aResult) BestImprovement() (one, rr float64) {
 	return one, rr
 }
 
-// Render prints the normalized JCT table.
-func (r *Figure5aResult) Render() string {
-	t := NewTable("Figure 5a: normalized JCT vs placement (local batch 4; lower is better)",
-		"placement", "FIFO avg JCT (s)", "TLs-One (norm)", "TLs-RR (norm)")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("#%d", row.Placement.Index), row.FIFOAvg, row.NormOne, row.NormRR)
-	}
+func (r *Figure5aResult) report() report {
 	one, rr := r.BestImprovement()
-	return t.String() + fmt.Sprintf(
-		"best improvement: TLs-One %.0f%% (paper: up to 27%%), TLs-RR %.0f%% (paper: up to 16%%)\n",
-		one, rr)
+	return report{
+		title: "Figure 5a: normalized JCT vs placement (local batch 4; lower is better)",
+		sections: []section{{len(r.Rows), []column{
+			{"placement", "placement", "#%d", func(i int) any { return r.Rows[i].Placement.Index }},
+			{"fifo_avg_jct_s", "FIFO avg JCT (s)", "", func(i int) any { return r.Rows[i].FIFOAvg }},
+			{"tls_one_norm", "TLs-One (norm)", "", func(i int) any { return r.Rows[i].NormOne }},
+			{"tls_rr_norm", "TLs-RR (norm)", "", func(i int) any { return r.Rows[i].NormRR }},
+		}}},
+		footer: fmt.Sprintf("best improvement: TLs-One %.0f%% (paper: up to 27%%), TLs-RR %.0f%% (paper: up to 16%%)\n",
+			one, rr),
+	}
 }
 
 // normalizeJCT averages per-job JCT ratios versus the FIFO baseline.
@@ -300,17 +335,19 @@ func (r *Figure5bResult) BestImprovement() (one, rr float64) {
 	return one, rr
 }
 
-// Render prints the batch-size sweep.
-func (r *Figure5bResult) Render() string {
-	t := NewTable("Figure 5b: normalized JCT vs local batch size (placement #1; lower is better)",
-		"local batch", "FIFO avg JCT (s)", "TLs-One (norm)", "TLs-RR (norm)")
-	for _, row := range r.Rows {
-		t.AddRow(row.LocalBatch, row.FIFOAvg, row.NormOne, row.NormRR)
-	}
+func (r *Figure5bResult) report() report {
 	one, rr := r.BestImprovement()
-	return t.String() + fmt.Sprintf(
-		"best improvement: TLs-One %.0f%% (paper: up to 31%%), TLs-RR %.0f%% (paper: up to 17%%)\n",
-		one, rr)
+	return report{
+		title: "Figure 5b: normalized JCT vs local batch size (placement #1; lower is better)",
+		sections: []section{{len(r.Rows), []column{
+			{"local_batch", "local batch", "", func(i int) any { return r.Rows[i].LocalBatch }},
+			{"fifo_avg_jct_s", "FIFO avg JCT (s)", "", func(i int) any { return r.Rows[i].FIFOAvg }},
+			{"tls_one_norm", "TLs-One (norm)", "", func(i int) any { return r.Rows[i].NormOne }},
+			{"tls_rr_norm", "TLs-RR (norm)", "", func(i int) any { return r.Rows[i].NormRR }},
+		}}},
+		footer: fmt.Sprintf("best improvement: TLs-One %.0f%% (paper: up to 31%%), TLs-RR %.0f%% (paper: up to 17%%)\n",
+			one, rr),
+	}
 }
 
 // Figure5bBatches is the default batch-size sweep.
@@ -364,27 +401,25 @@ func (r *Figure6Result) VarReduction(policy string) (mean, median float64) {
 		100 * (1 - metrics.Ratio(p.Median, f.Median))
 }
 
-// Render prints the distribution table plus reduction headlines.
-func (r *Figure6Result) Render() string {
-	t := NewTable("Figure 6: barrier wait time under placement #1 by scheduling policy",
-		"series", "n", "mean", "median", "p90", "max")
-	for _, pol := range []string{"FIFO", "TLs-One", "TLs-RR"} {
-		d := r.Means[pol]
-		t.AddRow("avg wait, "+pol, d.Summary.Count, d.Summary.Mean, d.Summary.Median,
-			d.Summary.P90, d.Summary.Max)
+func (r *Figure6Result) report() report {
+	var dists []WaitDist
+	var series []string
+	for _, pol := range paperPolicies {
+		dists = append(dists, r.Means[pol])
+		series = append(series, "avg_wait_"+pol)
 	}
-	for _, pol := range []string{"FIFO", "TLs-One", "TLs-RR"} {
-		d := r.Vars[pol]
-		t.AddRow("wait variance, "+pol, d.Summary.Count, d.Summary.Mean, d.Summary.Median,
-			d.Summary.P90, d.Summary.Max)
+	for _, pol := range paperPolicies {
+		dists = append(dists, r.Vars[pol])
+		series = append(series, "wait_variance_"+pol)
 	}
-	var b strings.Builder
-	b.WriteString(t.String())
 	om, omed := r.VarReduction("TLs-One")
 	rm, rmed := r.VarReduction("TLs-RR")
-	fmt.Fprintf(&b, "variance reduction vs FIFO: TLs-One mean %.0f%%/median %.0f%% (paper: 26%%/40%%), TLs-RR mean %.0f%%/median %.0f%% (paper: 15%%/30%%)\n",
-		om, omed, rm, rmed)
-	return b.String()
+	return report{
+		title:    "Figure 6: barrier wait time under placement #1 by scheduling policy",
+		sections: waitSections(dists, series),
+		footer: fmt.Sprintf("variance reduction vs FIFO: TLs-One mean %.0f%%/median %.0f%% (paper: 26%%/40%%), TLs-RR mean %.0f%%/median %.0f%% (paper: 15%%/30%%)\n",
+			om, omed, rm, rmed),
+	}
 }
 
 // Figure6 runs the three policies on placement #1.
@@ -401,16 +436,8 @@ func Figure6(o Options) (*Figure6Result, error) {
 	}
 	out := &Figure6Result{Means: map[string]WaitDist{}, Vars: map[string]WaitDist{}}
 	for i, name := range paperPolicies {
-		out.Means[name] = WaitDist{
-			Label:   "avg wait " + name,
-			Samples: results[i].BarrierMeans,
-			Summary: metrics.Summarize(results[i].BarrierMeans),
-		}
-		out.Vars[name] = WaitDist{
-			Label:   "wait variance " + name,
-			Samples: results[i].BarrierVars,
-			Summary: metrics.Summarize(results[i].BarrierVars),
-		}
+		out.Means[name] = waitDist("avg wait, "+name, results[i].BarrierMeans)
+		out.Vars[name] = waitDist("wait variance, "+name, results[i].BarrierVars)
 	}
 	return out, nil
 }
@@ -434,16 +461,17 @@ type TableIIResult struct {
 	Window [2]float64
 }
 
-// Render prints the table.
-func (r *TableIIResult) Render() string {
-	t := NewTable(fmt.Sprintf("Table II: normalized utilization, placement #1 (active window %.0f-%.0f s)",
-		r.Window[0], r.Window[1]),
-		"resource", "host type", "TLs-One", "TLs-RR")
-	for _, row := range r.Rows {
-		t.AddRow(row.Resource, row.HostType, fmt.Sprintf("%.2fx", row.One),
-			fmt.Sprintf("%.2fx", row.RR))
+func (r *TableIIResult) report() report {
+	return report{
+		title: fmt.Sprintf("Table II: normalized utilization, placement #1 (active window %.0f-%.0f s)",
+			r.Window[0], r.Window[1]),
+		sections: []section{{len(r.Rows), []column{
+			{"resource", "resource", "", func(i int) any { return r.Rows[i].Resource }},
+			{"host_type", "host type", "", func(i int) any { return r.Rows[i].HostType }},
+			{"tls_one_x", "TLs-One", "%.2fx", func(i int) any { return r.Rows[i].One }},
+			{"tls_rr_x", "TLs-RR", "%.2fx", func(i int) any { return r.Rows[i].RR }},
+		}}},
 	}
-	return t.String()
 }
 
 // TableII measures utilization for FIFO, TLs-One and TLs-RR on
@@ -464,15 +492,9 @@ func TableII(o Options) (*TableIIResult, error) {
 	fifo, one, rr := results[0], results[1], results[2]
 	psHosts := fifo.PSHosts
 	var workerHosts, allHosts []int
-	for h := 0; h < len(fifo.Utils); h++ {
+	for h := range fifo.Utils {
 		allHosts = append(allHosts, h)
-		isPS := false
-		for _, p := range psHosts {
-			if p == h {
-				isPS = true
-			}
-		}
-		if !isPS {
+		if !slices.Contains(psHosts, h) {
 			workerHosts = append(workerHosts, h)
 		}
 	}

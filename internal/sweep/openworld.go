@@ -301,25 +301,30 @@ func (r *OpenWorldResult) HeteroSlowdown(arrivals string) float64 {
 	return metrics.Mean(het) / h
 }
 
-// Render prints the grid plus the headline heterogeneity slowdowns.
-func (r *OpenWorldResult) Render() string {
-	t := NewTable("Open world: arrival process x host heterogeneity x end-host policy (unified PS+collective stream)",
-		"arrivals", "hosts", "policy", "avg JCT (s)", "p95 JCT (s)",
-		"ps", "coll", "cross-rack", "max link util", "reconfigs")
-	for _, row := range r.Rows {
-		t.AddRow(row.Arrivals, row.Hosts, row.Policy,
-			row.AvgJCT, row.P95JCT, row.PSJobs, row.CollectiveJobs,
-			fmt.Sprintf("%.2f", row.CrossRackRatio),
-			fmt.Sprintf("%.2f", row.MaxLinkUtil), row.Reconfigs)
+func (r *OpenWorldResult) report() report {
+	rep := report{
+		title: "Open world: arrival process x host heterogeneity x end-host policy (unified PS+collective stream)",
+		sections: []section{{len(r.Rows), []column{
+			{"arrivals", "arrivals", "", func(i int) any { return r.Rows[i].Arrivals }},
+			{"hosts", "hosts", "", func(i int) any { return r.Rows[i].Hosts }},
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"ps_jobs", "ps", "", func(i int) any { return r.Rows[i].PSJobs }},
+			{"collective_jobs", "coll", "", func(i int) any { return r.Rows[i].CollectiveJobs }},
+			{"cross_rack_ratio", "cross-rack", "%.2f", func(i int) any { return r.Rows[i].CrossRackRatio }},
+			{"max_link_util", "max link util", "%.2f", func(i int) any { return r.Rows[i].MaxLinkUtil }},
+			{"reconfigs", "reconfigs", "", func(i int) any { return r.Rows[i].Reconfigs }},
+			{"makespan_s", "", "", func(i int) any { return r.Rows[i].MakespanSec }},
+		}}},
 	}
-	out := t.String()
 	for _, arr := range OpenWorldArrivals {
 		if s := r.HeteroSlowdown(arr); s > 0 {
-			out += fmt.Sprintf("%s arrivals: heterogeneous hosts cost %.2fx the homogeneous avg JCT\n",
+			rep.footer += fmt.Sprintf("%s arrivals: heterogeneous hosts cost %.2fx the homogeneous avg JCT\n",
 				arr, s)
 		}
 	}
-	return out
+	return rep
 }
 
 // OpenWorldSweep runs the full arrivals x heterogeneity x policy grid.

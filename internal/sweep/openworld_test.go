@@ -128,7 +128,7 @@ func TestOpenWorldResultLookups(t *testing.T) {
 	if s := r.HeteroSlowdown("poisson"); s <= 1.0 || s >= 2.0 {
 		t.Errorf("HeteroSlowdown = %g, want (27/2)/(18/2) = 1.5", s)
 	}
-	if out := r.Render(); !strings.Contains(out, "heterogeneous hosts cost") {
+	if out := r.report().Render(); !strings.Contains(out, "heterogeneous hosts cost") {
 		t.Error("Render omits the heterogeneity headline")
 	}
 }

@@ -61,22 +61,25 @@ func (r *PolicySweepResult) BestAdaptive() (PolicyRow, bool) {
 	return best, found
 }
 
-// Render prints the comparison table plus the headline delta.
-func (r *PolicySweepResult) Render() string {
-	t := NewTable("Policy comparison: 21 colocated-PS jobs (placement #1)",
-		"policy", "avg JCT (s)", "p95 JCT (s)", "max JCT (s)", "barrier wait (s)", "reconfigs")
-	for _, row := range r.Rows {
-		t.AddRow(row.Policy, row.AvgJCT, row.P95JCT, row.MaxJCT,
-			row.BarrierWaitMean, row.Reconfigs)
+func (r *PolicySweepResult) report() report {
+	rep := report{
+		title: "Policy comparison: 21 colocated-PS jobs (placement #1)",
+		sections: []section{{len(r.Rows), []column{
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"max_jct_s", "max JCT (s)", "", func(i int) any { return r.Rows[i].MaxJCT }},
+			{"barrier_wait_mean_s", "barrier wait (s)", "", func(i int) any { return r.Rows[i].BarrierWaitMean }},
+			{"reconfigs", "reconfigs", "", func(i int) any { return r.Rows[i].Reconfigs }},
+		}}},
 	}
-	out := t.String()
 	if best, ok := r.BestAdaptive(); ok {
 		if rr, ok2 := r.Row("TLs-RR"); ok2 && rr.P95JCT > 0 {
-			out += fmt.Sprintf("best adaptive (%s) p95 JCT %.4g s vs TLs-RR %.4g s (%.1f%% reduction)\n",
+			rep.footer = fmt.Sprintf("best adaptive (%s) p95 JCT %.4g s vs TLs-RR %.4g s (%.1f%% reduction)\n",
 				best.Policy, best.P95JCT, rr.P95JCT, 100*(1-best.P95JCT/rr.P95JCT))
 		}
 	}
-	return out
+	return rep
 }
 
 // policyRunConfigs builds one headline run per policy. Rotation and

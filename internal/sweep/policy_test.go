@@ -123,7 +123,7 @@ func TestPolicySweepCSV(t *testing.T) {
 		{Policy: "TLs-LAS", AvgJCT: 1, P95JCT: 2, MaxJCT: 3, BarrierWaitMean: 0.25, Reconfigs: 7},
 	}}
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := r.report().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -113,18 +113,31 @@ type ReplicateResult struct {
 	Stats    []ReplicateStats
 }
 
-// Render prints the per-trial rows and the per-policy aggregates.
-func (r *ReplicateResult) Render() string {
-	t := NewTable("Replicate sweep: avg JCT by policy across seeds (placement #1)",
-		"policy", "seed", "avg JCT (s)", "p95 JCT (s)", "barrier wait (s)")
-	for _, row := range r.Rows {
-		t.AddRow(row.Policy, row.Seed, row.AvgJCT, row.P95JCT, row.BarrierWaitMean)
+// report lists the per-trial rows, then the per-policy aggregates: as
+// footer lines in the table, as a second section in the CSV.
+func (r *ReplicateResult) report() report {
+	rep := report{
+		title: "Replicate sweep: avg JCT by policy across seeds (placement #1)",
+		sections: []section{{len(r.Rows), []column{
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"seed", "seed", "", func(i int) any { return r.Rows[i].Seed }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"barrier_wait_mean_s", "barrier wait (s)", "", func(i int) any { return r.Rows[i].BarrierWaitMean }},
+			{"events", "", "", func(i int) any { return r.Rows[i].Events }},
+		}}, {len(r.Policies), []column{
+			{"policy", "", "", func(i int) any { return r.Policies[i] }},
+			{"n", "", "", func(i int) any { return r.Stats[i].N }},
+			{"mean_avg_jct_s", "", "", func(i int) any { return r.Stats[i].Mean }},
+			{"std_s", "", "", func(i int) any { return r.Stats[i].Std }},
+			{"min_s", "", "", func(i int) any { return r.Stats[i].Min }},
+			{"max_s", "", "", func(i int) any { return r.Stats[i].Max }},
+		}}},
 	}
-	s := t.String()
 	for i, pol := range r.Policies {
-		s += fmt.Sprintf("%s avg JCT: %s\n", pol, r.Stats[i])
+		rep.footer += fmt.Sprintf("%s avg JCT: %s\n", pol, r.Stats[i])
 	}
-	return s
+	return rep
 }
 
 // ReplicateSweep runs the (policy, seed) grid on the parallel Engine.

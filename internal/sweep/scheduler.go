@@ -170,28 +170,31 @@ func (r *SchedulerResult) PlacementGap(oversub float64, placement scheduler.Poli
 	return metrics.Mean(spread) / o
 }
 
-// Render prints the grid plus the headline placement gaps.
-func (r *SchedulerResult) Render() string {
-	t := NewTable("Scheduler: online placement x oversubscription x end-host policy (mixed arrivals)",
-		"oversub", "placement", "policy", "avg JCT (s)", "p95 JCT (s)",
-		"cross-rack", "max link util", "shifted", "shift (s)", "reconfigs")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("%g:1", row.Oversub), row.Placement, row.Policy,
-			row.AvgJCT, row.P95JCT,
-			fmt.Sprintf("%.2f", row.CrossRackRatio),
-			fmt.Sprintf("%.2f", row.MaxLinkUtil),
-			row.ShiftedJobs, fmt.Sprintf("%.2f", row.TotalShiftSec), row.Reconfigs)
+func (r *SchedulerResult) report() report {
+	rep := report{
+		title: "Scheduler: online placement x oversubscription x end-host policy (mixed arrivals)",
+		sections: []section{{len(r.Rows), []column{
+			{"oversub", "oversub", "%g:1", func(i int) any { return r.Rows[i].Oversub }},
+			{"placement", "placement", "", func(i int) any { return r.Rows[i].Placement }},
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"cross_rack_ratio", "cross-rack", "%.2f", func(i int) any { return r.Rows[i].CrossRackRatio }},
+			{"max_link_util", "max link util", "%.2f", func(i int) any { return r.Rows[i].MaxLinkUtil }},
+			{"shifted_jobs", "shifted", "", func(i int) any { return r.Rows[i].ShiftedJobs }},
+			{"total_shift_s", "shift (s)", "%.2f", func(i int) any { return r.Rows[i].TotalShiftSec }},
+			{"reconfigs", "reconfigs", "", func(i int) any { return r.Rows[i].Reconfigs }},
+		}}},
 	}
-	out := t.String()
 	for _, ov := range SchedulerOversubs {
 		for _, p := range []scheduler.Policy{scheduler.PolicyContentionAware, scheduler.PolicyPhaseAware} {
 			if gap := r.PlacementGap(ov, p); gap > 0 {
-				out += fmt.Sprintf("oversub %g:1: naive spread avg JCT is %.2fx %s placement\n",
+				rep.footer += fmt.Sprintf("oversub %g:1: naive spread avg JCT is %.2fx %s placement\n",
 					ov, gap, p)
 			}
 		}
 	}
-	return out
+	return rep
 }
 
 // SchedulerSweep runs the full oversub x placement x policy grid.

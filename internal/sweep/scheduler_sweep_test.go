@@ -110,10 +110,10 @@ func TestSchedulerSweepAcceptance(t *testing.T) {
 		t.Error("phase-aware placement never shifted a job across the grid")
 	}
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil || buf.Len() == 0 {
+	if err := r.report().WriteCSV(&buf); err != nil || buf.Len() == 0 {
 		t.Fatalf("WriteCSV: %v (%d bytes)", err, buf.Len())
 	}
-	if r.Render() == "" {
+	if r.report().Render() == "" {
 		t.Fatal("Render returned empty output")
 	}
 }

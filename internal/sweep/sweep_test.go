@@ -113,7 +113,7 @@ func TestFigure2Shape(t *testing.T) {
 	if gap := r.PerformanceGap(); gap < 25 {
 		t.Fatalf("performance gap %.0f%%, want substantial", gap)
 	}
-	out := r.Render()
+	out := r.report().Render()
 	if !strings.Contains(out, "#8") || !strings.Contains(out, "performance gap") {
 		t.Fatalf("render:\n%s", out)
 	}
@@ -130,7 +130,7 @@ func TestFigure3Shape(t *testing.T) {
 	if r.VarRatio() < 1.5 {
 		t.Fatalf("wait variance ratio %.2f, placement #1 must straggle more", r.VarRatio())
 	}
-	if !strings.Contains(r.Render(), "3.71x") {
+	if !strings.Contains(r.report().Render(), "3.71x") {
 		t.Fatal("render must cite the paper targets")
 	}
 }
@@ -218,23 +218,8 @@ func TestTableIIShape(t *testing.T) {
 			t.Fatalf("utilization regressed: %+v", row)
 		}
 	}
-	if !strings.Contains(r.Render(), "Network Inbound") {
+	if !strings.Contains(r.report().Render(), "Network Inbound") {
 		t.Fatal("render")
-	}
-}
-
-func TestTableHelper(t *testing.T) {
-	tb := NewTable("T", "a", "bb")
-	tb.AddRow(1, 2.5)
-	tb.AddRow("x", "y")
-	if tb.Rows() != 2 {
-		t.Fatal("rows")
-	}
-	out := tb.String()
-	for _, want := range []string{"T", "a", "bb", "2.5", "x"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("missing %q in:\n%s", want, out)
-		}
 	}
 }
 
@@ -281,7 +266,7 @@ func TestWriteCSVExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf strings.Builder
-	if err := f3.WriteCSV(&buf); err != nil {
+	if err := f3.report().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -302,7 +287,7 @@ func TestWriteCSVExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := t2.WriteCSV(&buf); err != nil {
+	if err := t2.report().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Network Inbound,All") {

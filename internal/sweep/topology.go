@@ -99,25 +99,27 @@ func (r *TopologyResult) PlacementGap(oversub float64) float64 {
 	return metrics.Mean(spread) / a
 }
 
-// Render prints the grid plus the headline placement gaps.
-func (r *TopologyResult) Render() string {
-	t := NewTable("Topology: leaf-spine placement x oversubscription x policy (AlexNet rings)",
-		"oversub", "strategy", "policy", "avg JCT (s)", "p95 JCT (s)",
-		"cross-rack", "max link util", "reconfigs")
-	for _, row := range r.Rows {
-		t.AddRow(fmt.Sprintf("%g:1", row.Oversub), row.Strategy, row.Policy,
-			row.AvgJCT, row.P95JCT,
-			fmt.Sprintf("%.2f", row.CrossRackRatio),
-			fmt.Sprintf("%.2f", row.MaxLinkUtil), row.Reconfigs)
+func (r *TopologyResult) report() report {
+	rep := report{
+		title: "Topology: leaf-spine placement x oversubscription x policy (AlexNet rings)",
+		sections: []section{{len(r.Rows), []column{
+			{"oversub", "oversub", "%g:1", func(i int) any { return r.Rows[i].Oversub }},
+			{"strategy", "strategy", "", func(i int) any { return r.Rows[i].Strategy }},
+			{"policy", "policy", "", func(i int) any { return r.Rows[i].Policy }},
+			{"avg_jct_s", "avg JCT (s)", "", func(i int) any { return r.Rows[i].AvgJCT }},
+			{"p95_jct_s", "p95 JCT (s)", "", func(i int) any { return r.Rows[i].P95JCT }},
+			{"cross_rack_ratio", "cross-rack", "%.2f", func(i int) any { return r.Rows[i].CrossRackRatio }},
+			{"max_link_util", "max link util", "%.2f", func(i int) any { return r.Rows[i].MaxLinkUtil }},
+			{"reconfigs", "reconfigs", "", func(i int) any { return r.Rows[i].Reconfigs }},
+		}}},
 	}
-	out := t.String()
 	for _, ov := range TopologyOversubs {
 		if gap := r.PlacementGap(ov); gap > 0 {
-			out += fmt.Sprintf("oversub %g:1: naive spread avg JCT is %.2fx network-aware placement\n",
+			rep.footer += fmt.Sprintf("oversub %g:1: naive spread avg JCT is %.2fx network-aware placement\n",
 				ov, gap)
 		}
 	}
-	return out
+	return rep
 }
 
 // topologyRunConfigs builds the oversub x strategy x policy grid.

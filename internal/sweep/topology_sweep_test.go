@@ -46,7 +46,7 @@ func TestTopologySweepShowsPlacementGap(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
+	if err := r.report().WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	csv := buf.String()
