@@ -47,7 +47,9 @@ serve-smoke:
 # runner at smoke scale through the real CLIs: churn's pinned arrivals,
 # the fault-recovery grid, the scheduler and open-world online trials,
 # and faults on a mixed PS plus collective run. Each experiment also
-# writes its CSV through -csvdir; a missing or empty file fails.
+# writes its CSV through -csvdir; a missing or empty file fails. An
+# open-world run with -util must be refused: online trials do not
+# sample utilization.
 runner-smoke:
 	d=$$(mktemp -d) || exit 1; \
 	for e in churn faultrec scheduler openworld; do \
@@ -56,6 +58,7 @@ runner-smoke:
 	done; \
 	rm -rf $$d
 	$(GO) run ./cmd/tlsim -steps 300 -workload mixed -fault-crash 0:3:2,1000:1:2 -fault-flap-ps
+	! $(GO) run ./cmd/tlsim -arrivals poisson -util -steps 300
 
 # flow-equiv runs the golden equivalence harness: every golden config is
 # simulated on both the chunk fabric and the analytic flow fabric and the

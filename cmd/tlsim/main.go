@@ -184,10 +184,6 @@ func main() {
 		os.Exit(2)
 	}
 	if *schedule != "" {
-		if *faultFlapPS || len(crashes) > 0 {
-			fmt.Fprintln(os.Stderr, "tlsim: fault flags are incompatible with -scheduler")
-			os.Exit(2)
-		}
 		// -jobs and -oversub keep their PS-workload defaults (21 and 1),
 		// which are wrong for the scheduler trial; only forward them when
 		// the user set them explicitly so the trial defaults (9 jobs,
@@ -209,10 +205,6 @@ func main() {
 	if *arrivals != "" || *arrTrace != "" || *mix != "" || *hetero {
 		if cfg.Scheduler != nil {
 			fmt.Fprintln(os.Stderr, "tlsim: -scheduler is incompatible with the open-world flags (-arrivals, -arrival-trace, -mix, -hetero)")
-			os.Exit(2)
-		}
-		if *faultFlapPS || len(crashes) > 0 {
-			fmt.Fprintln(os.Stderr, "tlsim: fault flags are incompatible with the open-world workload")
 			os.Exit(2)
 		}
 		// Like -scheduler: only forward -jobs / -oversub when the user

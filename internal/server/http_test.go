@@ -270,16 +270,28 @@ func TestHTTPSubmitRejectsUnknownPolicy(t *testing.T) {
 	assertNothingAdmitted(t, s, cfg)
 }
 
-// A negative count must not fall back to the full-scale default: the
+// A negative count must not fall back to the full-scale default, and a
+// config the run cannot honour must not be retried until it fails: the
 // submit is refused before it is queued, journaled or priced.
 func TestHTTPSubmitRejectsNegativeSteps(t *testing.T) {
 	cfg := testConfig(t)
 	s, ts := httpServer(t, cfg)
-	bad := expCfg(1)
-	bad.Steps = -1
-	resp, _ := postJob(t, ts, bad, "c1")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("Steps -1: %d, want 400", resp.StatusCode)
+	for name, mutate := range map[string]func(*tensorlights.ExperimentConfig){
+		"Steps -1":         func(c *tensorlights.ExperimentConfig) { c.Steps = -1 },
+		"FabricMode bogus": func(c *tensorlights.ExperimentConfig) { c.FabricMode = "bogus" },
+		"OpenWorld -util": func(c *tensorlights.ExperimentConfig) {
+			c.OpenWorld, c.MeasureUtilization = &tensorlights.OpenWorldConfig{}, true
+		},
+		"Scheduler+faults": func(c *tensorlights.ExperimentConfig) {
+			c.Scheduler, c.Faults.TCOutage = &tensorlights.SchedulerConfig{}, true
+		},
+	} {
+		bad := expCfg(1)
+		mutate(&bad)
+		resp, _ := postJob(t, ts, bad, "c1")
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400", name, resp.StatusCode)
+		}
 	}
 	assertNothingAdmitted(t, s, cfg)
 }

@@ -596,40 +596,50 @@ func TestRunExperimentRejectsUnknownPolicy(t *testing.T) {
 
 func TestExperimentConfigValidate(t *testing.T) {
 	cases := []struct {
-		field string
-		cfg   ExperimentConfig
+		want string // a substring of the error
+		cfg  ExperimentConfig
 	}{
-		{"NumJobs", ExperimentConfig{NumJobs: -3}},
-		{"LocalBatch", ExperimentConfig{LocalBatch: -1}},
-		{"Steps", ExperimentConfig{Steps: -5}},
-		{"Bands", ExperimentConfig{Bands: -1}},
-		{"RotateIntervalSec", ExperimentConfig{RotateIntervalSec: -1}},
-		{"RotateIntervalSec", ExperimentConfig{RotateIntervalSec: math.NaN()}},
-		{"FeedbackIntervalSec", ExperimentConfig{FeedbackIntervalSec: math.Inf(1)}},
-		{"Collective.Jobs", ExperimentConfig{Collective: &CollectiveConfig{Jobs: -2}}},
-		{"Collective.Ranks", ExperimentConfig{Collective: &CollectiveConfig{Ranks: -1}}},
-		{"Collective.LocalBatch", ExperimentConfig{Collective: &CollectiveConfig{LocalBatch: -1}}},
-		{"Collective.Iterations", ExperimentConfig{Collective: &CollectiveConfig{Iterations: -1}}},
-		{"Scheduler.Jobs", ExperimentConfig{Scheduler: &SchedulerConfig{Jobs: -1}}},
-		{"Scheduler.ArrivalRatePerSec", ExperimentConfig{Scheduler: &SchedulerConfig{ArrivalRatePerSec: -0.5}}},
-		{"OpenWorld.Jobs", ExperimentConfig{OpenWorld: &OpenWorldConfig{Jobs: -1}}},
-		{"OpenWorld.ArrivalRatePerSec", ExperimentConfig{OpenWorld: &OpenWorldConfig{ArrivalRatePerSec: math.NaN()}}},
+		{"NumJobs = ", ExperimentConfig{NumJobs: -3}},
+		{"LocalBatch = ", ExperimentConfig{LocalBatch: -1}},
+		{"Steps = ", ExperimentConfig{Steps: -5}},
+		{"Bands = ", ExperimentConfig{Bands: -1}},
+		{"RotateIntervalSec = ", ExperimentConfig{RotateIntervalSec: -1}},
+		{"RotateIntervalSec = ", ExperimentConfig{RotateIntervalSec: math.NaN()}},
+		{"FeedbackIntervalSec = ", ExperimentConfig{FeedbackIntervalSec: math.Inf(1)}},
+		{"Collective.Jobs = ", ExperimentConfig{Collective: &CollectiveConfig{Jobs: -2}}},
+		{"Collective.Ranks = ", ExperimentConfig{Collective: &CollectiveConfig{Ranks: -1}}},
+		{"Collective.LocalBatch = ", ExperimentConfig{Collective: &CollectiveConfig{LocalBatch: -1}}},
+		{"Collective.Iterations = ", ExperimentConfig{Collective: &CollectiveConfig{Iterations: -1}}},
+		{"Scheduler.Jobs = ", ExperimentConfig{Scheduler: &SchedulerConfig{Jobs: -1}}},
+		{"Scheduler.ArrivalRatePerSec = ", ExperimentConfig{Scheduler: &SchedulerConfig{ArrivalRatePerSec: -0.5}}},
+		{"OpenWorld.Jobs = ", ExperimentConfig{OpenWorld: &OpenWorldConfig{Jobs: -1}}},
+		{"OpenWorld.ArrivalRatePerSec = ", ExperimentConfig{OpenWorld: &OpenWorldConfig{ArrivalRatePerSec: math.NaN()}}},
+		{"unknown fabric mode", ExperimentConfig{FabricMode: "bogus"}},
+		{"incompatible with Scheduler", ExperimentConfig{Scheduler: &SchedulerConfig{}, OpenWorld: &OpenWorldConfig{}}},
+		{"Faults are not supported", ExperimentConfig{Scheduler: &SchedulerConfig{}, Faults: FaultConfig{FlapPSHosts: true}}},
+		{"Faults are not supported", ExperimentConfig{OpenWorld: &OpenWorldConfig{}, Faults: FaultConfig{TCOutage: true}}},
+		{"Faults are not supported", ExperimentConfig{OpenWorld: &OpenWorldConfig{}, Faults: FaultConfig{Crashes: []WorkerCrash{{AtSec: 1}}}}},
+		{"MeasureUtilization is not supported", ExperimentConfig{OpenWorld: &OpenWorldConfig{}, MeasureUtilization: true}},
+		{"Async is not supported", ExperimentConfig{Scheduler: &SchedulerConfig{}, Async: true}},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
-		if err == nil || !strings.Contains(err.Error(), c.field+" = ") {
-			t.Errorf("%s: Validate() = %v, want an error naming the field", c.field, err)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing it", c.want, err)
 		}
 		if _, runErr := RunExperiment(c.cfg); runErr == nil || runErr.Error() != err.Error() {
-			t.Errorf("%s: RunExperiment err = %v, want %v", c.field, runErr, err)
+			t.Errorf("%s: RunExperiment err = %v, want %v", c.want, runErr, err)
 		}
 	}
-	zero := ExperimentConfig{
-		Collective: &CollectiveConfig{},
-		Scheduler:  &SchedulerConfig{},
-		OpenWorld:  &OpenWorldConfig{},
-	}
-	if err := zero.Validate(); err != nil {
-		t.Fatalf("zero values (= defaults) rejected: %v", err)
+	// Zero values mean defaults, and a grid run takes faults,
+	// utilization sampling and async training.
+	for _, ok := range []ExperimentConfig{
+		{Collective: &CollectiveConfig{}, Scheduler: &SchedulerConfig{}},
+		{Collective: &CollectiveConfig{}, OpenWorld: &OpenWorldConfig{}},
+		{FabricMode: "flow", Faults: FaultConfig{TCOutage: true}, MeasureUtilization: true, Async: true},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("valid config rejected: %v", err)
+		}
 	}
 }
