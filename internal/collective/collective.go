@@ -51,18 +51,6 @@ func (a Algorithm) Validate() error {
 	return fmt.Errorf("collective: unknown algorithm %q", a)
 }
 
-// ParseAlgorithm validates an algorithm name ("" defaults to Ring,
-// matching JobSpec's default).
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch Algorithm(s) {
-	case "":
-		return Ring, nil
-	case Ring, Tree:
-		return Algorithm(s), nil
-	}
-	return "", fmt.Errorf("collective: unknown algorithm %q (want ring or tree)", s)
-}
-
 // JobSpec is the static description of one all-reduce training job.
 type JobSpec struct {
 	ID    int

@@ -50,6 +50,10 @@ const (
 	PolicyStaticRate = "StaticRate"
 )
 
+// guaranteeRateBps is each htb class's guaranteed rate: tiny, so
+// borrowing priority dominates.
+const guaranteeRateBps = 1e6
+
 // Config tunes the controller. Zero values select the paper's settings.
 type Config struct {
 	// Policy is the internal/policy registry name of the priority
@@ -71,9 +75,6 @@ type Config struct {
 	// Order ranks contending jobs into bands. The paper deliberately
 	// does not constrain this choice (§IV-B).
 	Order policy.Order
-	// GuaranteeRateBps is each htb class's guaranteed rate (tiny, so
-	// borrowing priority dominates). Default 1 Mbit/s.
-	GuaranteeRateBps float64
 	// UsePrioQdisc switches from htb (the paper's implementation) to a
 	// plain prio qdisc — an ablation showing the mechanism is qdisc-
 	// agnostic.
@@ -100,9 +101,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.IntervalSec <= 0 {
 		c.IntervalSec = 20
-	}
-	if c.GuaranteeRateBps <= 0 {
-		c.GuaranteeRateBps = 1e6
 	}
 	if c.MaxExecRetries <= 0 {
 		c.MaxExecRetries = 4
@@ -772,7 +770,7 @@ func (c *Controller) htbCommands(host int, jobs []*JobInfo, bands []int, eff int
 	for b := 0; b < eff; b++ {
 		cmds = append(cmds, fmt.Sprintf(
 			"class add dev eth0 classid %d rate %.0fbps ceil %.0fbit prio %d",
-			b, c.cfg.GuaranteeRateBps/8, ceil, b))
+			b, guaranteeRateBps/8, ceil, b))
 	}
 	pref := 0
 	for rank, j := range jobs {

@@ -283,7 +283,7 @@ func TestValidateResolvesRegistryNames(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	_, _, ctl := newHarness(2, Config{Policy: PolicyOne})
 	cfg := ctl.Config()
-	if cfg.Bands != 6 || cfg.IntervalSec != 20 || cfg.GuaranteeRateBps != 1e6 {
+	if cfg.Bands != 6 || cfg.IntervalSec != 20 {
 		t.Fatalf("defaults %+v", cfg)
 	}
 }

@@ -167,9 +167,6 @@ func (e *Engine) AddLink(capacity float64) int {
 // NumLinks returns the number of registered links.
 func (e *Engine) NumLinks() int { return len(e.caps) }
 
-// LinkCap returns link l's current capacity.
-func (e *Engine) LinkCap(l int) float64 { return e.caps[l] }
-
 // SetLinkCap changes a link's capacity (faults: detach = 0, degrade =
 // scaled) and recomputes the affected flows' rates. A no-op when the
 // capacity is unchanged, so redundant fault/reconfig notifications stay
