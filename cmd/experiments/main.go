@@ -66,12 +66,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 				os.Exit(1)
 			}
-			if err := res.WriteCSV(f); err != nil {
-				f.Close()
+			err = res.WriteCSV(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: csv %s: %v\n", path, err)
 				os.Exit(1)
 			}
-			f.Close()
 			fmt.Printf("csv written to %s\n\n", path)
 		}
 	}
