@@ -47,15 +47,21 @@ serve-smoke:
 # runner at smoke scale through the real CLIs: churn's pinned arrivals,
 # the fault-recovery grid, the scheduler and open-world online trials,
 # and faults on a mixed PS plus collective run. Each experiment also
-# writes its CSV through -csvdir; a missing or empty file fails. An
-# open-world run with -util must be refused: online trials do not
-# sample utilization.
+# writes its CSV through -csvdir; a missing or empty file fails. A
+# traced TLs-RR tlsim run must write a non-empty event trace that
+# records tc configurations and no rejected tc command. An open-world
+# run with -util must be refused: online trials do not sample
+# utilization.
 runner-smoke:
 	d=$$(mktemp -d) || exit 1; \
 	for e in churn faultrec scheduler openworld; do \
 		$(GO) run ./cmd/experiments -steps 300 -only $$e -parallel 4 -csvdir $$d || exit 1; \
 		test -s $$d/$$e.csv || { echo "runner-smoke: $$d/$$e.csv missing or empty"; exit 1; }; \
 	done; \
+	$(GO) run ./cmd/tlsim -steps 300 -policy rr -trace $$d/trace.csv || exit 1; \
+	test -s $$d/trace.csv || { echo "runner-smoke: $$d/trace.csv missing or empty"; exit 1; }; \
+	grep -q ',tc_config,' $$d/trace.csv || { echo "runner-smoke: no tc_config row in $$d/trace.csv"; exit 1; }; \
+	! grep -q ',tc_error,' $$d/trace.csv || { echo "runner-smoke: tc_error row in $$d/trace.csv"; exit 1; }; \
 	rm -rf $$d
 	$(GO) run ./cmd/tlsim -steps 300 -workload mixed -fault-crash 0:3:2,1000:1:2 -fault-flap-ps
 	! $(GO) run ./cmd/tlsim -arrivals poisson -util -steps 300

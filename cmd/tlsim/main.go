@@ -297,24 +297,36 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tlsim: %v\n", err)
 			os.Exit(1)
 		}
-		defer f.Close()
 		traceFile = f
 		cfg.TraceCSV = f
+	}
+	// closeTrace closes the trace file, if any, and exits 1 when that
+	// fails: rows still buffered in the OS may be lost, so the trace
+	// must not be reported as written.
+	closeTrace := func() {
+		if traceFile == nil {
+			return
+		}
+		if err := traceFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "tlsim: closing event trace: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	res, err := tensorlights.RunExperimentContext(ctx, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlsim: %v\n", err)
 		if errors.Is(err, context.Canceled) {
+			closeTrace()
 			if traceFile != nil {
 				// RunExperimentContext already flushed the partial trace
 				// with a leading "# partial trace" comment line.
 				fmt.Fprintf(os.Stderr, "tlsim: partial event trace written to %s\n", traceFile.Name())
-				traceFile.Close() // os.Exit skips the deferred close
 			}
 			os.Exit(130)
 		}
 		os.Exit(1)
 	}
+	closeTrace()
 	if traceFile != nil {
 		fmt.Printf("event trace written to %s\n", traceFile.Name())
 	}

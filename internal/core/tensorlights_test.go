@@ -48,6 +48,54 @@ func TestSinglePSNotConfigured(t *testing.T) {
 	}
 }
 
+// TestEveryPolicyStaysInTcDialect drives every registered policy (and
+// the prio-qdisc ablation) through colocated arrivals, rotations,
+// reconcile passes and departures. A command the tc parser rejects
+// would not fail a run — it would retry and quietly drop the host to
+// FIFO — so this pins that the controller only emits accepted commands.
+func TestEveryPolicyStaysInTcDialect(t *testing.T) {
+	type variant struct {
+		name string
+		cfg  Config
+	}
+	var variants []variant
+	for _, name := range policy.Names() {
+		variants = append(variants, variant{name, Config{Policy: name}})
+	}
+	variants = append(variants, variant{"TLs-One/prio", Config{Policy: PolicyOne, UsePrioQdisc: true}})
+	for _, v := range variants {
+		cfg := v.cfg
+		cfg.IntervalSec = 1
+		cfg.ReconcileIntervalSec = 2.5
+		k, fab, ctl := newHarness(2, cfg)
+		for id := 0; id < 3; id++ {
+			ctl.JobArrived(job(id, 0))
+		}
+		for step := 1; step <= 5; step++ {
+			for id := 0; id < 3; id++ {
+				ctl.JobProgress(id, step*(id+1))
+			}
+			k.RunUntil(float64(step))
+		}
+		ctl.JobDeparted(0) // two contenders left: reconfigure
+		k.RunUntil(7)
+		ctl.JobDeparted(1) // one left: back to FIFO
+		k.RunUntil(9)
+		if n := ctl.tcc.ExecErrors(); n != 0 {
+			t.Errorf("%s: %d tc commands rejected", v.name, n)
+		}
+		if st := ctl.Stats(); st != (RecoveryStats{}) {
+			t.Errorf("%s: recovery ran on a fault-free run: %+v", v.name, st)
+		}
+		if got := fab.Host(0).Egress.Qdisc().Kind(); got != "pfifo" {
+			t.Errorf("%s: host left with %s after the last contender departed", v.name, got)
+		}
+		if v.name != PolicyFIFO && ctl.tcc.ExecCount() == 0 {
+			t.Errorf("%s: never configured tc", v.name)
+		}
+	}
+}
+
 func TestColocationTriggersHTB(t *testing.T) {
 	_, fab, ctl := newHarness(3, Config{Policy: PolicyOne})
 	ctl.JobArrived(job(0, 0))

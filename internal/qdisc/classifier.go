@@ -12,14 +12,11 @@ type ClassID int
 // NoClass is returned by classifiers when no filter matches.
 const NoClass ClassID = -1
 
-// Match is a structured predicate over chunk header fields, mirroring
-// what a u32/fw tc filter can express. A field set to AnyValue matches
-// everything.
+// Match is a predicate over a chunk's source port, the one key a
+// TensorLights filter matches on (the paper identifies a job by its
+// PS's TCP port). SrcPort AnyValue matches everything.
 type Match struct {
 	SrcPort int
-	DstPort int
-	JobID   int
-	Mark    int
 }
 
 // AnyValue is the wildcard for Match fields.
@@ -27,53 +24,25 @@ const AnyValue = -1
 
 // MatchAll returns a Match with every field wild.
 func MatchAll() Match {
-	return Match{SrcPort: AnyValue, DstPort: AnyValue, JobID: AnyValue, Mark: AnyValue}
+	return Match{SrcPort: AnyValue}
 }
 
-// MatchSrcPort returns a Match on the sender port only (the paper's
-// filter: a job is identified by its PS's TCP port).
+// MatchSrcPort returns a Match on the sender port.
 func MatchSrcPort(port int) Match {
-	m := MatchAll()
-	m.SrcPort = port
-	return m
+	return Match{SrcPort: port}
 }
 
 // Matches reports whether the chunk satisfies every non-wild field.
 func (m Match) Matches(c *Chunk) bool {
-	if m.SrcPort != AnyValue && m.SrcPort != c.SrcPort {
-		return false
-	}
-	if m.DstPort != AnyValue && m.DstPort != c.DstPort {
-		return false
-	}
-	if m.JobID != AnyValue && m.JobID != c.JobID {
-		return false
-	}
-	if m.Mark != AnyValue && m.Mark != c.Mark {
-		return false
-	}
-	return true
+	return m.SrcPort == AnyValue || m.SrcPort == c.SrcPort
 }
 
 // String renders the match in tc-ish syntax.
 func (m Match) String() string {
-	s := ""
-	if m.SrcPort != AnyValue {
-		s += fmt.Sprintf(" sport %d", m.SrcPort)
-	}
-	if m.DstPort != AnyValue {
-		s += fmt.Sprintf(" dport %d", m.DstPort)
-	}
-	if m.JobID != AnyValue {
-		s += fmt.Sprintf(" job %d", m.JobID)
-	}
-	if m.Mark != AnyValue {
-		s += fmt.Sprintf(" mark %d", m.Mark)
-	}
-	if s == "" {
+	if m.SrcPort == AnyValue {
 		return "match all"
 	}
-	return "match" + s
+	return fmt.Sprintf("match sport %d", m.SrcPort)
 }
 
 // Filter binds a Match to a target class with a precedence. Lower Pref
@@ -100,9 +69,6 @@ func NewClassifier(def ClassID) *Classifier {
 // Default returns the class used when no filter matches.
 func (cl *Classifier) Default() ClassID { return cl.def }
 
-// SetDefault changes the fallback class.
-func (cl *Classifier) SetDefault(def ClassID) { cl.def = def }
-
 // Add installs a filter. Filters are evaluated in (Pref, insertion)
 // order; the first match wins.
 func (cl *Classifier) Add(f Filter) {
@@ -115,22 +81,6 @@ func (cl *Classifier) Add(f Filter) {
 		}
 		return cl.filters[i].seq < cl.filters[j].seq
 	})
-}
-
-// RemoveWhere deletes all filters for which keep returns true, returning
-// how many were removed.
-func (cl *Classifier) RemoveWhere(drop func(Filter) bool) int {
-	out := cl.filters[:0]
-	removed := 0
-	for _, f := range cl.filters {
-		if drop(f) {
-			removed++
-			continue
-		}
-		out = append(out, f)
-	}
-	cl.filters = out
-	return removed
 }
 
 // Clear removes every filter.

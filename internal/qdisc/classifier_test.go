@@ -9,7 +9,6 @@ import (
 func TestMatchWildcards(t *testing.T) {
 	all := MatchAll()
 	c := mkChunk(1, 5000, 10)
-	c.Mark = 3
 	if !all.Matches(c) {
 		t.Fatal("MatchAll must match everything")
 	}
@@ -24,20 +23,15 @@ func TestMatchWildcards(t *testing.T) {
 }
 
 func TestMatchEachField(t *testing.T) {
-	c := &Chunk{SrcPort: 10, DstPort: 20, JobID: 30, Mark: 40}
+	c := &Chunk{SrcPort: 10}
 	cases := []struct {
 		m    Match
 		want bool
 	}{
-		{Match{SrcPort: 10, DstPort: AnyValue, JobID: AnyValue, Mark: AnyValue}, true},
-		{Match{SrcPort: AnyValue, DstPort: 20, JobID: AnyValue, Mark: AnyValue}, true},
-		{Match{SrcPort: AnyValue, DstPort: AnyValue, JobID: 30, Mark: AnyValue}, true},
-		{Match{SrcPort: AnyValue, DstPort: AnyValue, JobID: AnyValue, Mark: 40}, true},
-		{Match{SrcPort: 11, DstPort: AnyValue, JobID: AnyValue, Mark: AnyValue}, false},
-		{Match{SrcPort: AnyValue, DstPort: 21, JobID: AnyValue, Mark: AnyValue}, false},
-		{Match{SrcPort: AnyValue, DstPort: AnyValue, JobID: 31, Mark: AnyValue}, false},
-		{Match{SrcPort: AnyValue, DstPort: AnyValue, JobID: AnyValue, Mark: 41}, false},
-		{Match{SrcPort: 10, DstPort: 20, JobID: 30, Mark: 40}, true},
+		{Match{SrcPort: 10}, true},
+		{Match{SrcPort: AnyValue}, true},
+		{Match{SrcPort: 11}, false},
+		{Match{SrcPort: 0}, false},
 	}
 	for i, tc := range cases {
 		if got := tc.m.Matches(c); got != tc.want {
@@ -86,29 +80,8 @@ func TestClassifierDefault(t *testing.T) {
 	if got := cl.Classify(mkChunk(1, 1234, 10)); got != 9 {
 		t.Fatalf("default class %d, want 9", got)
 	}
-	cl.SetDefault(4)
-	if cl.Default() != 4 {
-		t.Fatal("SetDefault")
-	}
-}
-
-func TestClassifierRemoveWhere(t *testing.T) {
-	cl := NewClassifier(NoClass)
-	for i := 0; i < 5; i++ {
-		cl.Add(Filter{Pref: i, Match: MatchSrcPort(5000 + i), Target: ClassID(i)})
-	}
-	n := cl.RemoveWhere(func(f Filter) bool { return f.Pref%2 == 0 })
-	if n != 3 || cl.Len() != 2 {
-		t.Fatalf("removed %d, left %d", n, cl.Len())
-	}
-	for _, f := range cl.Filters() {
-		if f.Pref%2 == 0 {
-			t.Fatal("even pref survived RemoveWhere")
-		}
-	}
-	cl.Clear()
-	if cl.Len() != 0 {
-		t.Fatal("Clear left filters")
+	if cl.Default() != 9 {
+		t.Fatalf("Default() = %d, want 9", cl.Default())
 	}
 }
 
@@ -144,8 +117,11 @@ func TestClassifierInterleavedPSAndCollective(t *testing.T) {
 			t.Fatalf("chunk %d (sport %d): band %d, want %d", i, tc.sport, got, tc.want)
 		}
 	}
-	// Dropping the job A filters must not disturb job B's band.
-	cl.RemoveWhere(func(f Filter) bool { return f.Target == jobABand })
+	// Job A departs: the controller clears the chain and re-adds job
+	// B's filter, which must keep its band while job A's port falls
+	// through to the default.
+	cl.Clear()
+	cl.Add(Filter{Pref: 0, Match: MatchSrcPort(7100), Target: jobBBand})
 	if got := cl.Classify(mkChunk(1, 7000, 10)); got != defBand {
 		t.Fatalf("departed job's collective port still classified to %d", got)
 	}

@@ -47,46 +47,33 @@ func (r *fuzzReader) key() int {
 }
 
 // FuzzClassifier interprets the input as a program of filter-chain
-// mutations (add/remove/clear/set-default with arbitrary port, job and
-// mark keys) interleaved with classifications, and checks the chain's
-// contract: Classify never panics, is deterministic, and only ever
-// returns the default class or an installed filter's target.
+// mutations (add with arbitrary source-port keys, clear) interleaved
+// with classifications, and checks the chain's contract: Classify
+// never panics, is deterministic, and only ever returns the default
+// class or an installed filter's target.
 func FuzzClassifier(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 5, 200, 2, 0x40, 1, 0x90, 9})
 	f.Add([]byte{
-		1, 100, 100, 100, 100, 3, // add a filter
-		1, 10, 10, 10, 10, 4, // and another
-		2, 200, 200, 200, 200, // classify
-		3,    // remove some
-		4, 7, // set default
-		2, 0, 0, 0, 0, // classify again
-		5, // clear
-		2, 1, 2, 3, 4,
+		1, 100, 100, 3, // add a filter
+		1, 10, 10, 4, // and another
+		2, 200, // classify
+		3,    // clear
+		2, 0, // classify again
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		cl := NewClassifier(ClassID(r.byte() % 8))
 		for !r.done() {
-			switch r.byte() % 6 {
+			switch r.byte() % 4 {
 			case 0, 1: // add a filter
 				cl.Add(Filter{
-					Pref: int(r.byte() % 10),
-					Match: Match{
-						SrcPort: r.key(),
-						DstPort: r.key(),
-						JobID:   r.key(),
-						Mark:    r.key(),
-					},
+					Pref:   int(r.byte() % 10),
+					Match:  Match{SrcPort: r.key()},
 					Target: ClassID(r.byte() % 10),
 				})
-			case 2, 3: // classify an arbitrary chunk
-				c := &Chunk{
-					SrcPort: r.key(),
-					DstPort: r.key(),
-					JobID:   r.key(),
-					Mark:    r.key(),
-				}
+			case 2: // classify an arbitrary chunk
+				c := &Chunk{SrcPort: r.key()}
 				got := cl.Classify(c)
 				if got2 := cl.Classify(c); got2 != got {
 					t.Fatalf("classification not deterministic: %d then %d", got, got2)
@@ -104,22 +91,10 @@ func FuzzClassifier(f *testing.F) {
 							got, cl.Default())
 					}
 				}
-			case 4: // remove an arbitrary subset
-				pref := int(r.byte() % 10)
-				before := cl.Len()
-				removed := cl.RemoveWhere(func(fl Filter) bool { return fl.Pref == pref })
-				if cl.Len() != before-removed {
-					t.Fatalf("RemoveWhere accounting: %d - %d != %d", before, removed, cl.Len())
-				}
-			case 5:
-				switch r.byte() % 4 {
-				case 0:
-					cl.Clear()
-					if cl.Len() != 0 {
-						t.Fatal("Clear left filters behind")
-					}
-				default:
-					cl.SetDefault(ClassID(r.byte() % 10))
+			case 3:
+				cl.Clear()
+				if cl.Len() != 0 {
+					t.Fatal("Clear left filters behind")
 				}
 			}
 		}
@@ -152,7 +127,7 @@ func checkHTBAccounting(t *testing.T, h *HTB) {
 
 // checkHTBClassOrder asserts the class list stays strictly ascending
 // and that Len agrees with the direct queue plus every class's queue, so
-// a stale class slice after AddClass/DeleteClass shows immediately.
+// a stale class slice after AddClass shows immediately.
 func checkHTBClassOrder(t *testing.T, h *HTB) {
 	t.Helper()
 	ids := h.Classes()
@@ -168,7 +143,7 @@ func checkHTBClassOrder(t *testing.T, h *HTB) {
 	}
 }
 
-// FuzzHTBDequeue interprets the input as a program of class mutations,
+// FuzzHTBDequeue interprets the input as a program of class additions,
 // arbitrary-key enqueues and time-advancing dequeues against an HTB,
 // checking it never panics and the drop/backlog accounting stays
 // consistent and the class list ordered throughout.
@@ -178,15 +153,13 @@ func FuzzHTBDequeue(f *testing.F) {
 	f.Add([]byte{
 		0, 1, 10, 1, // add class 1
 		0, 2, 20, 0, // add class 2
-		2, 30, 8, // enqueue
-		2, 40, 8,
-		3, 10, // dequeue
-		4, 1, 5, 0, // change class
-		3, 200,
-		5, 2, // delete class
-		1, 3, // set default
-		2, 99, 4,
-		3, 255,
+		1, 30, 8, // enqueue
+		1, 40, 8,
+		2, 10, // dequeue
+		3, // dequeue at ReadyAt
+		2, 200,
+		1, 99, 4,
+		4, 255, // drain
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
@@ -194,32 +167,24 @@ func FuzzHTBDequeue(f *testing.F) {
 		now := 0.0
 		flow := uint64(0)
 		for !r.done() {
-			switch r.byte() % 8 {
+			switch r.byte() % 5 {
 			case 0: // add a class (invalid configs must error, not panic)
 				id := ClassID(r.byte() % 6)
 				rate := float64(r.int31()%2_000_000) - 500_000 // may be <= 0
 				ceil := float64(r.int31() % 2_000_000)
 				_ = h.AddClass(id, HTBClassConfig{
-					Rate:    rate,
-					Ceil:    ceil,
-					Burst:   float64(r.int31() % 100_000),
-					CBurst:  float64(r.int31() % 100_000),
-					Prio:    int(r.byte()%4) - 1,
-					Quantum: float64(r.int31()%100_000) - 10_000,
+					Rate: rate,
+					Ceil: ceil,
+					Prio: int(r.byte()%4) - 1,
 				})
-			case 1:
-				h.SetDefaultClass(ClassID(r.byte() % 8))
-			case 2: // enqueue a chunk with arbitrary classification keys
+			case 1: // enqueue a chunk with an arbitrary classification key
 				flow++
 				h.Enqueue(&Chunk{
 					FlowID:  flow,
-					JobID:   r.key(),
 					SrcPort: r.key(),
-					DstPort: r.key(),
-					Mark:    r.key(),
-					Bytes:   1 + int64(r.int31()%defaultHTBBurst),
+					Bytes:   1 + int64(r.int31()%htbBurst),
 				}, now)
-			case 3: // advance time and dequeue
+			case 2: // advance time and dequeue
 				now += float64(r.byte()) * 0.01
 				before := h.BacklogBytes()
 				if ch := h.Dequeue(now); ch != nil {
@@ -228,15 +193,7 @@ func FuzzHTBDequeue(f *testing.F) {
 							ch.Bytes, before, got)
 					}
 				}
-			case 4:
-				_ = h.ChangeClass(ClassID(r.byte()%6), HTBClassConfig{
-					Rate: float64(r.int31()%1_000_000) - 100_000,
-					Ceil: float64(r.int31() % 1_000_000),
-					Prio: int(r.byte()%4) - 1,
-				})
-			case 5:
-				_ = h.DeleteClass(ClassID(r.byte() % 6))
-			case 6: // ReadyAt must never promise a time a Dequeue refuses
+			case 3: // ReadyAt must never promise a time a Dequeue refuses
 				at := h.ReadyAt(now)
 				if h.Len() > 0 && at >= Never {
 					t.Fatalf("backlogged htb (%d chunks) reports ReadyAt=Never", h.Len())
@@ -247,7 +204,7 @@ func FuzzHTBDequeue(f *testing.F) {
 					}
 					now = at
 				}
-			case 7: // drain a little
+			case 4: // drain a little
 				now += 1 + float64(r.byte())
 				for i := 0; i < 4; i++ {
 					if h.Dequeue(now) == nil {

@@ -8,7 +8,7 @@ import (
 
 // HTB is a two-level hierarchical token bucket: a root class bounded by
 // the link ceil, and leaf classes each with a guaranteed rate, a ceil, a
-// borrowing priority and a DRR quantum. This mirrors how the paper
+// borrowing priority and a fixed DRR quantum. This mirrors how the paper
 // deploys TensorLights: `tc qdisc add ... root htb` plus one leaf class
 // per priority band, where each leaf has a tiny guaranteed rate and full
 // ceil so that the borrowing priority realizes strict prioritization
@@ -21,11 +21,11 @@ import (
 //   - otherwise, if its ceil bucket and the root bucket are non-negative
 //     it is "yellow" and may borrow, with lower Prio values offered the
 //     excess bandwidth first;
-//   - equal-priority leaves share via deficit round robin weighted by
-//     Quantum.
+//   - equal-priority leaves share via deficit round robin with an
+//     equal quantum (htbQuantum), so they split borrowed bandwidth
+//     evenly.
 type HTB struct {
 	rootRate   float64 // bytes/sec available for borrowing
-	rootBurst  float64 // bytes
 	rootTokens float64
 	lastUpdate float64
 
@@ -52,15 +52,12 @@ type HTB struct {
 	levels []int
 }
 
-// HTBClassConfig configures a leaf class. Rates are bytes/sec; bursts
-// are bytes. Zero Burst/CBurst/Quantum select reasonable defaults.
+// HTBClassConfig configures a leaf class. Rates are bytes/sec; both of
+// a class's buckets hold htbBurst bytes.
 type HTBClassConfig struct {
-	Rate    float64
-	Ceil    float64
-	Burst   float64
-	CBurst  float64
-	Prio    int
-	Quantum float64
+	Rate float64
+	Ceil float64
+	Prio int
 }
 
 // HTBClass is a leaf class with its own FIFO.
@@ -83,8 +80,12 @@ func (c *HTBClass) Stats() Stats { return c.stats }
 // Len returns chunks queued in this class.
 func (c *HTBClass) Len() int { return c.q.len() }
 
-// defaultHTBBurst sizes a bucket so one maximum-size chunk always fits.
-const defaultHTBBurst = 512 * 1024
+// htbBurst sizes every bucket (root, rate and ceil) so one
+// maximum-size chunk always fits.
+const htbBurst = 512 * 1024
+
+// htbQuantum is every class's DRR quantum in bytes.
+const htbQuantum = 256 * 1024
 
 // NewHTB creates an htb with the given link rate (bytes/sec). Chunks
 // that classify to a nonexistent class fall into defClass; if that is
@@ -96,8 +97,7 @@ func NewHTB(linkRate float64, defClass ClassID) *HTB {
 	}
 	return &HTB{
 		rootRate:   linkRate,
-		rootBurst:  defaultHTBBurst,
-		rootTokens: defaultHTBBurst,
+		rootTokens: htbBurst,
 		classes:    make(map[ClassID]*HTBClass),
 		classifier: NewClassifier(defClass),
 		defClass:   defClass,
@@ -110,12 +110,6 @@ func (h *HTB) Classifier() *Classifier { return h.classifier }
 
 // DefaultClass returns the fallback class id.
 func (h *HTB) DefaultClass() ClassID { return h.defClass }
-
-// SetDefaultClass changes the fallback class id.
-func (h *HTB) SetDefaultClass(id ClassID) {
-	h.defClass = id
-	h.classifier.SetDefault(id)
-}
 
 // AddClass installs a new leaf class.
 func (h *HTB) AddClass(id ClassID, cfg HTBClassConfig) error {
@@ -131,75 +125,13 @@ func (h *HTB) AddClass(id ClassID, cfg HTBClassConfig) error {
 	if cfg.Ceil < cfg.Rate {
 		return fmt.Errorf("qdisc: htb class %d ceil %.0f < rate %.0f", id, cfg.Ceil, cfg.Rate)
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = defaultHTBBurst
-	}
-	if cfg.CBurst <= 0 {
-		cfg.CBurst = defaultHTBBurst
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 256 * 1024
-	}
 	if cfg.Prio < 0 {
 		cfg.Prio = 0
 	}
-	c := &HTBClass{ID: id, cfg: cfg, tokens: cfg.Burst, ctokens: cfg.CBurst}
+	c := &HTBClass{ID: id, cfg: cfg, tokens: htbBurst, ctokens: htbBurst}
 	h.classes[id] = c
 	i := sort.Search(len(h.order), func(i int) bool { return h.order[i].ID > id })
 	h.order = slices.Insert(h.order, i, c)
-	return nil
-}
-
-// ChangeClass updates an existing class's configuration in place,
-// preserving its queue (tc class change).
-func (h *HTB) ChangeClass(id ClassID, cfg HTBClassConfig) error {
-	c, ok := h.classes[id]
-	if !ok {
-		return fmt.Errorf("qdisc: htb class %d not found", id)
-	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = c.cfg.Rate
-	}
-	if cfg.Ceil <= 0 {
-		cfg.Ceil = c.cfg.Ceil
-	}
-	if cfg.Ceil < cfg.Rate {
-		return fmt.Errorf("qdisc: htb class %d ceil %.0f < rate %.0f", id, cfg.Ceil, cfg.Rate)
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = c.cfg.Burst
-	}
-	if cfg.CBurst <= 0 {
-		cfg.CBurst = c.cfg.CBurst
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = c.cfg.Quantum
-	}
-	if cfg.Prio < 0 {
-		cfg.Prio = c.cfg.Prio
-	}
-	c.cfg = cfg
-	if c.tokens > cfg.Burst {
-		c.tokens = cfg.Burst
-	}
-	if c.ctokens > cfg.CBurst {
-		c.ctokens = cfg.CBurst
-	}
-	return nil
-}
-
-// DeleteClass removes a class. Deleting a non-empty class returns an
-// error, matching tc's refusal to delete classes with active traffic.
-func (h *HTB) DeleteClass(id ClassID) error {
-	c, ok := h.classes[id]
-	if !ok {
-		return fmt.Errorf("qdisc: htb class %d not found", id)
-	}
-	if c.q.len() > 0 {
-		return fmt.Errorf("qdisc: htb class %d is non-empty", id)
-	}
-	delete(h.classes, id)
-	h.order = slices.DeleteFunc(h.order, func(cl *HTBClass) bool { return cl == c })
 	return nil
 }
 
@@ -255,17 +187,17 @@ func (h *HTB) refill(now float64) {
 	}
 	h.lastUpdate = now
 	h.rootTokens += h.rootRate * dt
-	if h.rootTokens > h.rootBurst {
-		h.rootTokens = h.rootBurst
+	if h.rootTokens > htbBurst {
+		h.rootTokens = htbBurst
 	}
 	for _, cl := range h.order {
 		cl.tokens += cl.cfg.Rate * dt
-		if cl.tokens > cl.cfg.Burst {
-			cl.tokens = cl.cfg.Burst
+		if cl.tokens > htbBurst {
+			cl.tokens = htbBurst
 		}
 		cl.ctokens += cl.cfg.Ceil * dt
-		if cl.ctokens > cl.cfg.CBurst {
-			cl.ctokens = cl.cfg.CBurst
+		if cl.ctokens > htbBurst {
+			cl.ctokens = htbBurst
 		}
 	}
 }
@@ -307,7 +239,7 @@ func (cl *HTBClass) inRing(level int, green bool) bool {
 }
 
 // pickDRR selects the next eligible class at a priority level using a
-// quantum-weighted round robin cursor over the eligible classes in id
+// deficit round robin cursor over the eligible classes in id
 // order.
 func (h *HTB) pickDRR(level int, green bool) *HTBClass {
 	n := 0
@@ -335,7 +267,7 @@ func (h *HTB) pickDRR(level int, green bool) *HTBClass {
 	head := cl.q.peek()
 	cl.deficit -= float64(head.Bytes)
 	if cl.deficit <= 0 {
-		cl.deficit += cl.cfg.Quantum
+		cl.deficit += htbQuantum
 		if cl.deficit < 0 {
 			cl.deficit = 0
 		}

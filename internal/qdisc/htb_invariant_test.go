@@ -24,9 +24,7 @@ func TestHTBWorkConservingUnderBursts(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			h.Classifier().Add(Filter{Match: Match{
-				SrcPort: 9000 + b, DstPort: AnyValue, JobID: AnyValue, Mark: AnyValue,
-			}, Target: ClassID(b)})
+			h.Classifier().Add(Filter{Match: MatchSrcPort(9000 + b), Target: ClassID(b)})
 		}
 
 		now := 0.0
@@ -83,28 +81,23 @@ func TestHTBWorkConservingUnderBursts(t *testing.T) {
 // TestHTBStrictPriorityAcrossBands keeps a high- and a low-priority band
 // both continuously backlogged and asserts the egress realizes strict
 // priority: the low band's service while the high band is backlogged is
-// bounded by its green-token budget (guaranteed rate * time + burst),
-// which the TensorLights configuration makes negligible.
+// bounded by its green-token budget (guaranteed rate * time + the
+// htbBurst bucket), which the TensorLights configuration makes small.
 func TestHTBStrictPriorityAcrossBands(t *testing.T) {
 	const linkRate = 1e6
-	const tinyRate = 1    // bytes/sec guaranteed
-	const tinyBurst = 256 // bytes
+	const tinyRate = 1 // bytes/sec guaranteed
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(900 + trial)))
 		h := NewHTB(linkRate, 0)
 		for b := 0; b < 2; b++ {
 			if err := h.AddClass(ClassID(b), HTBClassConfig{
-				Rate:   tinyRate,
-				Burst:  tinyBurst,
-				CBurst: defaultHTBBurst,
-				Ceil:   linkRate,
-				Prio:   b,
+				Rate: tinyRate,
+				Ceil: linkRate,
+				Prio: b,
 			}); err != nil {
 				t.Fatal(err)
 			}
-			h.Classifier().Add(Filter{Match: Match{
-				SrcPort: 9000 + b, DstPort: AnyValue, JobID: AnyValue, Mark: AnyValue,
-			}, Target: ClassID(b)})
+			h.Classifier().Add(Filter{Match: MatchSrcPort(9000 + b), Target: ClassID(b)})
 		}
 		enqueue := func(band, n int, now float64) {
 			for i := 0; i < n; i++ {
@@ -137,7 +130,7 @@ func TestHTBStrictPriorityAcrossBands(t *testing.T) {
 		}
 		// Green-token budget the low band could legitimately burn while
 		// the high band was backlogged.
-		budget := int64(tinyBurst+tinyRate*now) + 32*1024 // + one max chunk of slop
+		budget := int64(htbBurst+tinyRate*now) + 32*1024 // + one max chunk of slop
 		if lowWhileHighBacklogged > budget {
 			t.Fatalf("trial %d: low band sent %d bytes while high band backlogged (budget %d over %.3fs)",
 				trial, lowWhileHighBacklogged, budget, now)

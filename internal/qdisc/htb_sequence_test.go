@@ -16,32 +16,34 @@ const htbSequenceGolden = "htb_sequence.golden"
 
 // renderHTBSequence runs one seeded random program against an HTB and
 // writes one line per observable: each Dequeue's FlowID (or nil), each
-// ReadyAt as exact %x float bits, the outcome of each class mutation,
+// ReadyAt as exact %x float bits, the outcome of each class addition,
 // and the final Stats and per-class dequeued bytes.
 //
-// The programs cover class add/change (including prio moves)/delete,
-// default-class switches, direct-queue traffic (chunks classifying to
+// The programs cover class adds mid-run (including duplicates, which
+// fail), filter-chain rewrites that move ports between classes (the
+// controller's rotation), direct-queue traffic (chunks classifying to
 // a missing class whose default is missing too), enqueues spread over
-// four priority levels with several equal-prio classes and quanta
-// smaller than a chunk (DRR rotation with deficit carry-over), and
-// interleaved ReadyAt/Dequeue calls, some behind the token clock.
+// four priority levels with several equal-prio classes (DRR rotation
+// with deficit carry-over), and interleaved ReadyAt/Dequeue calls,
+// some behind the token clock.
 func renderHTBSequence(w *bytes.Buffer, seed int64, ops int) {
 	r := rand.New(rand.NewSource(seed))
 	const maxClass = 8
 	linkRate := float64(1+r.Intn(8)) * 125_000
 	h := NewHTB(linkRate, ClassID(r.Intn(maxClass+2)))
-	for id := 0; id < maxClass+2; id++ {
-		h.Classifier().Add(Filter{Pref: id, Match: MatchSrcPort(5000 + id), Target: ClassID(id)})
+	filters := func(target func(id int) int) {
+		h.Classifier().Clear()
+		for id := 0; id < maxClass+2; id++ {
+			h.Classifier().Add(Filter{Pref: id, Match: MatchSrcPort(5000 + id), Target: ClassID(target(id))})
+		}
 	}
+	filters(func(id int) int { return id })
 	classCfg := func() HTBClassConfig {
 		rate := float64(1+r.Intn(50)) * 4_000
 		return HTBClassConfig{
-			Rate:    rate,
-			Ceil:    rate + float64(r.Intn(4))*linkRate/4,
-			Burst:   float64(r.Intn(3)) * 64_000,
-			CBurst:  float64(r.Intn(3)) * 128_000,
-			Prio:    r.Intn(4),
-			Quantum: float64(r.Intn(3)) * 24_000,
+			Rate: rate,
+			Ceil: rate + float64(r.Intn(4))*linkRate/4,
+			Prio: r.Intn(4),
 		}
 	}
 	fmt.Fprintf(w, "seed %d rate %g def %d\n", seed, linkRate, h.DefaultClass())
@@ -79,18 +81,12 @@ func renderHTBSequence(w *bytes.Buffer, seed int64, ops int) {
 			at := h.ReadyAt(now - 0.01)
 			fmt.Fprintf(w, "r %x\n", at)
 			dequeue(now - 0.01)
-		case op < 89:
+		case op < 92:
 			id := r.Intn(maxClass)
 			fmt.Fprintf(w, "add %d %v\n", id, h.AddClass(ClassID(id), classCfg()) == nil)
-		case op < 94:
-			id := r.Intn(maxClass)
-			fmt.Fprintf(w, "chg %d %v\n", id, h.ChangeClass(ClassID(id), classCfg()) == nil)
-		case op < 97:
-			id := r.Intn(maxClass)
-			fmt.Fprintf(w, "del %d %v\n", id, h.DeleteClass(ClassID(id)) == nil)
-		default:
-			h.SetDefaultClass(ClassID(r.Intn(maxClass + 2)))
-			fmt.Fprintf(w, "def %d\n", h.DefaultClass())
+		default: // rewrite the chain: every port to a random class or hole
+			filters(func(int) int { return r.Intn(maxClass + 2) })
+			fmt.Fprintln(w, "filters")
 		}
 	}
 	fmt.Fprintf(w, "stats %+v direct %d len %d\n", h.Stats(), h.DirectPackets(), h.Len())

@@ -7,26 +7,17 @@ package qdisc
 // combined backlog — the mechanism behind worker stragglers.
 type PFIFO struct {
 	q     fifoQueue
-	limit int // max queued chunks; 0 = unbounded
 	stats Stats
 }
 
-// NewPFIFO returns a pfifo with the given chunk limit (0 = unbounded,
-// which models a backpressured sender that never loses data).
-func NewPFIFO(limit int) *PFIFO {
-	return &PFIFO{limit: limit}
+// NewPFIFO returns an unbounded pfifo, which models a backpressured
+// sender that never loses data.
+func NewPFIFO() *PFIFO {
+	return &PFIFO{}
 }
 
-// Limit returns the configured chunk limit (0 = unbounded).
-func (p *PFIFO) Limit() int { return p.limit }
-
-// Enqueue appends the chunk, dropping it if the queue is full.
+// Enqueue appends the chunk.
 func (p *PFIFO) Enqueue(c *Chunk, now float64) {
-	if p.limit > 0 && p.q.len() >= p.limit {
-		p.stats.DroppedPackets++
-		p.stats.DroppedBytes += uint64(c.Bytes)
-		return
-	}
 	c.enqueuedAt = now
 	p.q.push(c)
 	p.stats.EnqueuedPackets++

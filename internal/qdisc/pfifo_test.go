@@ -6,11 +6,11 @@ import (
 )
 
 func mkChunk(flow uint64, sport int, bytes int64) *Chunk {
-	return &Chunk{FlowID: flow, SrcPort: sport, DstPort: 9000, JobID: int(flow), Bytes: bytes}
+	return &Chunk{FlowID: flow, SrcPort: sport, Bytes: bytes}
 }
 
 func TestPFIFOOrder(t *testing.T) {
-	p := NewPFIFO(0)
+	p := NewPFIFO()
 	for i := 0; i < 10; i++ {
 		p.Enqueue(mkChunk(uint64(i), 5000, 100), float64(i))
 	}
@@ -28,25 +28,8 @@ func TestPFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestPFIFOLimitDrops(t *testing.T) {
-	p := NewPFIFO(3)
-	for i := 0; i < 5; i++ {
-		p.Enqueue(mkChunk(uint64(i), 5000, 100), 0)
-	}
-	if p.Len() != 3 {
-		t.Fatalf("len %d, want 3", p.Len())
-	}
-	st := p.Stats()
-	if st.DroppedPackets != 2 || st.DroppedBytes != 200 {
-		t.Fatalf("drops %+v", st)
-	}
-	if p.Limit() != 3 {
-		t.Fatalf("limit %d", p.Limit())
-	}
-}
-
 func TestPFIFOReadyAt(t *testing.T) {
-	p := NewPFIFO(0)
+	p := NewPFIFO()
 	if p.ReadyAt(5) != Never {
 		t.Fatal("empty queue should be Never")
 	}
@@ -57,7 +40,7 @@ func TestPFIFOReadyAt(t *testing.T) {
 }
 
 func TestPFIFOStatsAndBacklog(t *testing.T) {
-	p := NewPFIFO(0)
+	p := NewPFIFO()
 	p.Enqueue(mkChunk(1, 5000, 100), 1)
 	p.Enqueue(mkChunk(2, 5000, 250), 1)
 	if p.BacklogBytes() != 350 {
@@ -83,7 +66,7 @@ func TestPFIFOStatsAndBacklog(t *testing.T) {
 // with byte totals conserved.
 func TestPFIFOConservationProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		p := NewPFIFO(0)
+		p := NewPFIFO()
 		var in int64
 		for i, s := range sizes {
 			b := int64(s%1000) + 1
@@ -113,7 +96,7 @@ func TestPFIFOConservationProperty(t *testing.T) {
 func TestFifoQueueCompaction(t *testing.T) {
 	// Exercise the internal ring compaction by cycling many chunks
 	// through a queue that stays shallow.
-	p := NewPFIFO(0)
+	p := NewPFIFO()
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 10; i++ {
 			p.Enqueue(mkChunk(uint64(round*10+i), 5000, 10), 0)

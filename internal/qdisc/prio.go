@@ -9,27 +9,13 @@ import "fmt"
 // any band holds a chunk, which is why TensorLights preserves aggregate
 // throughput while reordering who finishes first.
 type Prio struct {
-	bands       []*PFIFO
-	classifier  *Classifier
-	stats       Stats
-	isPfifoFast bool
-}
-
-// NewPFIFOFast returns Linux's default qdisc: a 3-band prio whose
-// priomap sends best-effort traffic to band 1. Without DSCP marking all
-// chunks land in one band, so it behaves as pure FIFO — which is
-// exactly the paper's baseline ("the conventional first-come-first-
-// serve traffic scheduling policy").
-func NewPFIFOFast() *Prio {
-	p := NewPrio(3)
-	p.isPfifoFast = true
-	p.classifier.SetDefault(1)
-	return p
+	bands      []*PFIFO
+	classifier *Classifier
+	stats      Stats
 }
 
 // NewPrio returns a prio qdisc with the given number of bands (>= 1).
-// Unmatched chunks fall into the last (lowest-priority) band, like
-// pfifo_fast's default band behaviour.
+// Unmatched chunks fall into the last (lowest-priority) band.
 func NewPrio(bands int) *Prio {
 	if bands < 1 {
 		panic(fmt.Sprintf("qdisc: prio needs >=1 band, got %d", bands))
@@ -39,7 +25,7 @@ func NewPrio(bands int) *Prio {
 		classifier: NewClassifier(ClassID(bands - 1)),
 	}
 	for i := range p.bands {
-		p.bands[i] = NewPFIFO(0)
+		p.bands[i] = NewPFIFO()
 	}
 	return p
 }
@@ -120,10 +106,5 @@ func (p *Prio) BandDequeuedBytes() map[int]uint64 {
 	return out
 }
 
-// Kind returns "prio", or "pfifo_fast" for the kernel-default variant.
-func (p *Prio) Kind() string {
-	if p.isPfifoFast {
-		return "pfifo_fast"
-	}
-	return "prio"
-}
+// Kind returns "prio".
+func (p *Prio) Kind() string { return "prio" }

@@ -122,23 +122,3 @@ func TestPrioWorkConserving(t *testing.T) {
 		t.Fatal("leftover chunks")
 	}
 }
-
-func TestPFIFOFastDefaults(t *testing.T) {
-	p := NewPFIFOFast()
-	if p.Kind() != "pfifo_fast" || p.Bands() != 3 {
-		t.Fatal("pfifo_fast shape")
-	}
-	// Unmarked traffic lands in band 1 (the best-effort band) and
-	// dequeues FIFO.
-	for i := 0; i < 5; i++ {
-		p.Enqueue(mkChunk(uint64(i), 5000+i, 10), 0)
-	}
-	if p.Band(1).Len() != 5 {
-		t.Fatalf("band occupancy: %d %d %d", p.Band(0).Len(), p.Band(1).Len(), p.Band(2).Len())
-	}
-	for i := 0; i < 5; i++ {
-		if c := p.Dequeue(0); c.FlowID != uint64(i) {
-			t.Fatal("pfifo_fast is not FIFO for unmarked traffic")
-		}
-	}
-}

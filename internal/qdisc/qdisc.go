@@ -1,9 +1,10 @@
-// Package qdisc implements packet queueing disciplines modelled on the
-// Linux traffic-control (tc) qdiscs that TensorLights drives: pfifo,
-// prio, htb, tbf and sfq, plus a port-based classifier. The unit of
-// transmission is a Chunk (an application-level write of up to a few
-// hundred KB); the network fabric in internal/simnet serializes chunks
-// onto links, and the qdisc at each NIC egress decides ordering.
+// Package qdisc implements the queueing disciplines the simulated
+// fabric and the TensorLights controller install: pfifo (every port's
+// default), htb (the paper's actuator), prio (the strict-priority
+// ablation), plus a source-port classifier. The unit of transmission
+// is a Chunk (an application-level write of up to a few hundred KB);
+// the network fabric in internal/simnet serializes chunks onto links,
+// and the qdisc at each NIC egress decides ordering.
 package qdisc
 
 import "math"
@@ -12,14 +13,11 @@ import "math"
 const Never = math.MaxFloat64
 
 // Chunk is the unit queued through a qdisc. Chunks belong to a Flow (a
-// single logical transfer, e.g. one model update to one worker); the
-// classification fields mirror what tc filters can match on.
+// single logical transfer, e.g. one model update to one worker);
+// SrcPort is the one field tc filters match on.
 type Chunk struct {
 	FlowID  uint64 // unique per transfer
-	JobID   int    // owning DL job, -1 if none
 	SrcPort int    // TCP source port at the sender (PS port for updates)
-	DstPort int    // TCP destination port
-	Mark    int    // fwmark analog; settable by filters
 	Bytes   int64  // payload size of this chunk
 	Seq     int    // index of this chunk within its flow
 	Last    bool   // true on the final chunk of the flow
@@ -73,8 +71,8 @@ type BandCounter interface {
 // Qdisc is a queueing discipline. Implementations are single-threaded:
 // the simulation kernel serializes all calls.
 //
-// Enqueue may drop the chunk (bounded queues); drops are visible in
-// Stats. Dequeue returns nil if nothing may be sent at `now` (empty, or
+// No discipline here drops: every queue is unbounded, modelling a
+// backpressured sender that never loses data. Dequeue returns nil if nothing may be sent at `now` (empty, or
 // gated by shaping); ReadyAt reports the earliest time a subsequent
 // Dequeue can succeed, or Never when empty.
 type Qdisc interface {
@@ -87,7 +85,7 @@ type Qdisc interface {
 	Kind() string
 }
 
-// fifoQueue is a simple chunk ring used by several qdiscs.
+// fifoQueue is a simple chunk ring used by every qdisc.
 type fifoQueue struct {
 	items []*Chunk
 	head  int

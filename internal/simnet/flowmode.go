@@ -19,13 +19,11 @@ const (
 )
 
 // classKey identifies one per-host shaping constraint: an HTB leaf
-// class (class >= 0) or the TBF bucket (class == tbfClass).
+// class.
 type classKey struct {
 	host  int
 	class int
 }
-
-const tbfClass = -2
 
 // classLinkInfo is the engine link modelling one shaped class, plus the
 // strict-priority band its flows compete in at the egress.
@@ -44,9 +42,9 @@ type classLinkInfo struct {
 //   - per core link of the routed topology, one engine link at the
 //     core payload rate (ECMP route sets are reused verbatim: a flow
 //     crosses exactly the links its chunks would);
-//   - per shaped egress class (HTB leaf class, TBF bucket), one virtual
-//     link capping that class's aggregate payload throughput at its
-//     Ceil/Rate — HTB charges payload bytes, so no overhead factor.
+//   - per HTB leaf class at an egress, one virtual link capping that
+//     class's aggregate payload throughput at its Ceil — HTB charges
+//     payload bytes, so no overhead factor.
 //
 // Band mapping: a flow's strict-priority band at its source egress is
 // the HTB class Prio (direct traffic gets band -1: it dequeues before
@@ -159,12 +157,7 @@ func (fm *flowMode) classLink(host, class, band int, cap float64) classLinkInfo 
 // it (-1 when unshaped). This is the same decision the chunk fabric
 // makes per chunk, evaluated once per flow.
 func (fm *flowMode) classify(src int, fl *Flow) (band, classLink int) {
-	fm.scratch = qdisc.Chunk{
-		FlowID:  fl.ID,
-		JobID:   fl.Spec.JobID,
-		SrcPort: fl.Spec.SrcPort,
-		DstPort: fl.Spec.DstPort,
-	}
+	fm.scratch = qdisc.Chunk{FlowID: fl.ID, SrcPort: fl.Spec.SrcPort}
 	switch q := fm.f.Host(src).Egress.q.(type) {
 	case *qdisc.HTB:
 		cl := q.Class(q.Classifier().Classify(&fm.scratch))
@@ -184,10 +177,7 @@ func (fm *flowMode) classify(src int, fl *Flow) (band, classLink int) {
 			b = q.Bands() - 1 // Enqueue's out-of-range clamp
 		}
 		return b, -1
-	case *qdisc.TBF:
-		info := fm.classLink(src, tbfClass, 0, q.Rate())
-		return 0, info.link
-	default: // pfifo, sfq: single band, no shaping
+	default: // pfifo: single band, no shaping
 		return 0, -1
 	}
 }

@@ -124,7 +124,7 @@ func TestFlowModeLoopback(t *testing.T) {
 
 // htbGreenYellow installs the TensorLights qdisc shape on host 0: HTB
 // with a green class 0 (Prio 0) and yellow class 1 (Prio 1), both
-// ceiled at the full payload rate, green selected by DstPort 100.
+// ceiled at the full payload rate, green selected by SrcPort 10.
 func htbGreenYellow(t *testing.T, f *Fabric, ceil float64) *qdisc.HTB {
 	t.Helper()
 	h := qdisc.NewHTB(ceil, 1)
@@ -134,9 +134,7 @@ func htbGreenYellow(t *testing.T, f *Fabric, ceil float64) *qdisc.HTB {
 	if err := h.AddClass(1, qdisc.HTBClassConfig{Rate: 1e6, Ceil: ceil, Prio: 1}); err != nil {
 		t.Fatal(err)
 	}
-	m := qdisc.MatchAll()
-	m.DstPort = 100
-	h.Classifier().Add(qdisc.Filter{Pref: 1, Match: m, Target: 0})
+	h.Classifier().Add(qdisc.Filter{Pref: 1, Match: qdisc.MatchSrcPort(10), Target: 0})
 	f.Host(0).SetEgressQdisc(h)
 	return h
 }
@@ -206,9 +204,7 @@ func TestFlowModeReclassifyMidFlight(t *testing.T) {
 	// Unpromoted: 100MB at 0.25 GB/s = 0.4s. Promote at 0.1s; the
 	// remaining 75MB runs at 1 GB/s: finish ~0.175s + tail.
 	k.Schedule(0.1, func() {
-		m := qdisc.MatchAll()
-		m.DstPort = 200
-		h.Classifier().Add(qdisc.Filter{Pref: 1, Match: m, Target: 0})
+		h.Classifier().Add(qdisc.Filter{Pref: 1, Match: qdisc.MatchSrcPort(10), Target: 0})
 		f.EgressReconfigured(0)
 	})
 	k.Run(nil)

@@ -272,8 +272,8 @@ func (f *Fabric) AddHost(name string) *Host {
 		Name:   name,
 		fabric: f,
 	}
-	h.Egress = newPort(f, h, "egress", rateBytes, qdisc.NewPFIFO(0))
-	h.Ingress = newPort(f, h, "ingress", rateBytes, qdisc.NewPFIFO(0))
+	h.Egress = newPort(f, h, "egress", rateBytes, qdisc.NewPFIFO())
+	h.Ingress = newPort(f, h, "ingress", rateBytes, qdisc.NewPFIFO())
 	if f.topo != nil {
 		panic("simnet: AddHost after the topology was built")
 	}
@@ -629,9 +629,7 @@ func (f *Fabric) makeChunks(fl *Flow) []*qdisc.Chunk {
 		remaining -= sz
 		c := f.getChunk()
 		c.FlowID = fl.ID
-		c.JobID = fl.Spec.JobID
 		c.SrcPort = fl.Spec.SrcPort
-		c.DstPort = fl.Spec.DstPort
 		c.Bytes = sz
 		c.Seq = i
 		c.Last = i == n-1

@@ -349,13 +349,18 @@ func TestFlowTracerEmitsCompletion(t *testing.T) {
 	}
 }
 
-func TestTBFEgressEndToEnd(t *testing.T) {
-	// A TBF-shaped egress drives the port's future-wakeup path: the
-	// device must sleep until tokens refill rather than spin or stall.
+func TestShapedEgressEndToEnd(t *testing.T) {
+	// An htb class capped below line rate drives the port's
+	// future-wakeup path: the device must sleep until tokens refill
+	// rather than spin or stall.
 	cfg := Config{LinkRateBps: 8e9, WireOverhead: 1.0}
 	k, f := newFabric(t, cfg, 2)
 	rate := 50e6 // 50 MB/s shaping on a 1 GB/s link
-	f.Host(0).SetEgressQdisc(qdisc.NewTBF(rate, 512<<10, 0))
+	h := qdisc.NewHTB(1e9, 0)
+	if err := h.AddClass(0, qdisc.HTBClassConfig{Rate: rate, Ceil: rate}); err != nil {
+		t.Fatal(err)
+	}
+	f.Host(0).SetEgressQdisc(h)
 	var finished float64
 	bytes := int64(16 << 20)
 	f.Send(FlowSpec{Src: 0, Dst: 1, Bytes: bytes, OnComplete: func(fl *Flow) {
@@ -364,9 +369,9 @@ func TestTBFEgressEndToEnd(t *testing.T) {
 	k.Run(nil)
 	want := float64(bytes) / rate
 	if finished < 0.8*want {
-		t.Fatalf("tbf egress finished at %v, want >= %v", finished, 0.8*want)
+		t.Fatalf("shaped egress finished at %v, want >= %v", finished, 0.8*want)
 	}
-	if f.Host(0).Egress.Qdisc().Kind() != "tbf" {
+	if f.Host(0).Egress.Qdisc().Kind() != "htb" {
 		t.Fatal("qdisc accessor")
 	}
 	if f.Host(0).Egress.BusyTime() <= 0 || f.Host(0).Egress.Chunks() == 0 {

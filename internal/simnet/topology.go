@@ -236,7 +236,7 @@ func newLeafSpine(f *Fabric, cfg TopologyConfig) *leafSpine {
 	linkRate := rackHostBytes / (float64(cfg.UplinksPerLeaf) * cfg.Oversubscription)
 	mk := func(name string) *Link {
 		l := &Link{ID: len(t.links), Name: name}
-		l.port = newLinkPort(f, l, linkRate, qdisc.NewPFIFO(0))
+		l.port = newLinkPort(f, l, linkRate, qdisc.NewPFIFO())
 		t.links = append(t.links, l)
 		return l
 	}

@@ -1,13 +1,15 @@
-// Package tc emulates the Linux traffic-control command-line interface
-// over the simulated network fabric. TensorLights' entire actuation path
-// in the paper is "run tc on the hosts with contending parameter
-// servers"; this package provides the same surface — qdisc/class/filter
-// add/change/del plus a `-s`-style stats dump — applied to the egress
-// port of a simulated host.
+// Package tc emulates the Linux traffic-control command line over the
+// simulated network fabric. TensorLights' entire actuation path in the
+// paper is "run tc on the hosts with contending parameter servers";
+// this package accepts exactly the commands internal/core emits (an
+// htb or prio root, htb classes, source-port filters, and their
+// teardown) against the egress port of a simulated host, plus a
+// `-s`-style stats dump. Every other command is rejected.
 package tc
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,19 +56,50 @@ func (c *Controller) LinkRateBps(hostID int) float64 {
 	return c.fabric.Host(hostID).Egress.RateBytes() * 8
 }
 
-// Exec parses and applies one tc command on the given host, e.g.:
+// The command forms Exec accepts, indexing dialect.
+const (
+	htbRoot = iota
+	prioRoot
+	delRoot
+	classAdd
+	filterAdd
+	filterDelAll
+)
+
+// dialect spells out each accepted command form: a word in angle
+// brackets is a value slot (<n> a non-negative integer, <rate> a
+// ParseRate rate); every other word must appear verbatim.
+var dialect = [...]string{
+	htbRoot:      "qdisc add dev eth0 root htb default <n>",
+	prioRoot:     "qdisc add dev eth0 root prio bands <n>",
+	delRoot:      "qdisc del dev eth0 root",
+	classAdd:     "class add dev eth0 classid <n> rate <rate> ceil <rate> prio <n>",
+	filterAdd:    "filter add dev eth0 pref <n> match sport <n> flowid <n>",
+	filterDelAll: "filter del dev eth0 all",
+}
+
+// forms is dialect split into words.
+var forms = func() [][]string {
+	out := make([][]string, len(dialect))
+	for i, d := range dialect {
+		out[i] = strings.Fields(d)
+	}
+	return out
+}()
+
+// Exec parses and applies one tc command on the given host. It accepts
+// exactly these six forms, the commands internal/core emits:
 //
-//	qdisc add dev eth0 root htb default 5
-//	qdisc add dev eth0 root prio bands 6
+//	qdisc add dev eth0 root htb default <n>
+//	qdisc add dev eth0 root prio bands <n>
 //	qdisc del dev eth0 root
-//	class add dev eth0 classid 3 rate 1mbit ceil 10gbit prio 2
-//	class change dev eth0 classid 3 prio 4
-//	class del dev eth0 classid 3
-//	filter add dev eth0 pref 10 match sport 5001 flowid 3
-//	filter del dev eth0 pref 10
+//	class add dev eth0 classid <n> rate <rate> ceil <rate> prio <n>
+//	filter add dev eth0 pref <n> match sport <n> flowid <n>
 //	filter del dev eth0 all
 //
-// The leading "tc" word is optional. Only dev eth0 exists per host.
+// Adding a root replaces the previous tree; deleting it restores
+// pfifo. Any other command fails with an error naming the first word
+// no form accepts, and counts in ExecErrors.
 func (c *Controller) Exec(hostID int, cmd string) error {
 	if c.execHook != nil {
 		if err := c.execHook(hostID, cmd); err != nil {
@@ -74,35 +107,19 @@ func (c *Controller) Exec(hostID int, cmd string) error {
 			return err
 		}
 	}
-	toks := strings.Fields(cmd)
-	if len(toks) > 0 && toks[0] == "tc" {
-		toks = toks[1:]
-	}
-	if len(toks) < 2 {
-		c.execErrors++
-		return fmt.Errorf("tc: short command %q", cmd)
-	}
-	host := c.fabric.Host(hostID)
-	var err error
-	switch toks[0] {
-	case "qdisc":
-		err = c.execQdisc(host, toks[1:])
-	case "class":
-		err = c.execClass(host, toks[1:])
-	case "filter":
-		err = c.execFilter(host, toks[1:])
-	default:
-		err = fmt.Errorf("tc: unknown object %q", toks[0])
-	}
+	form, vals, err := parse(strings.Fields(cmd))
 	if err == nil {
-		c.execCount++
-		// In flow mode the analytic fabric reclassifies in-flight flows
-		// against the new configuration; a no-op on the chunk fabric.
-		c.fabric.EgressReconfigured(hostID)
-	} else {
-		c.execErrors++
+		err = apply(c.fabric.Host(hostID), form, vals)
 	}
-	return err
+	if err != nil {
+		c.execErrors++
+		return err
+	}
+	c.execCount++
+	// In flow mode the analytic fabric reclassifies in-flight flows
+	// against the new configuration; a no-op on the chunk fabric.
+	c.fabric.EgressReconfigured(hostID)
+	return nil
 }
 
 // MustExec is Exec that panics on error, for static configuration code.
@@ -110,60 +127,6 @@ func (c *Controller) MustExec(hostID int, cmd string) {
 	if err := c.Exec(hostID, cmd); err != nil {
 		panic(err)
 	}
-}
-
-// args provides keyword-value scanning over a token list.
-type args struct {
-	toks []string
-	pos  int
-}
-
-func (a *args) next() (string, bool) {
-	if a.pos >= len(a.toks) {
-		return "", false
-	}
-	t := a.toks[a.pos]
-	a.pos++
-	return t, true
-}
-
-func (a *args) expect(what string) (string, error) {
-	t, ok := a.next()
-	if !ok {
-		return "", fmt.Errorf("tc: missing %s", what)
-	}
-	return t, nil
-}
-
-func (a *args) expectInt(what string) (int, error) {
-	t, err := a.expect(what)
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.Atoi(t)
-	if err != nil {
-		return 0, fmt.Errorf("tc: bad %s %q", what, t)
-	}
-	return n, nil
-}
-
-// consumeDev checks the "dev eth0" pair.
-func (a *args) consumeDev() error {
-	t, ok := a.next()
-	if !ok {
-		return fmt.Errorf("tc: missing 'dev'")
-	}
-	if t != "dev" {
-		return fmt.Errorf("tc: expected 'dev', got %q", t)
-	}
-	name, ok := a.next()
-	if !ok {
-		return fmt.Errorf("tc: missing device name")
-	}
-	if name != "eth0" {
-		return fmt.Errorf("tc: unknown device %q (only eth0 exists)", name)
-	}
-	return nil
 }
 
 // ParseRate converts tc rate syntax to bytes/sec. Accepted suffixes:
@@ -197,370 +160,104 @@ func ParseRate(s string) (float64, error) {
 	return v / 8, nil // bare numbers are bits/sec, like tc
 }
 
-// ParseSize converts tc size syntax ("32kb", "1mb", plain bytes) to bytes.
-func ParseSize(s string) (float64, error) {
-	ls := strings.ToLower(s)
-	suffixes := []struct {
-		suf  string
-		mult float64
-	}{
-		{"mb", 1 << 20}, {"kb", 1 << 10}, {"b", 1},
+// parse matches a command's words against the dialect and returns the
+// form and its slot values in order. A command no form accepts is
+// rejected naming the first word at which even the closest form stops
+// matching, and what that form wanted there.
+func parse(toks []string) (form int, vals []float64, err error) {
+	reach := 0 // longest literal prefix any form matches
+	for i, f := range forms {
+		n := matchLen(f, toks)
+		if n == len(f) && n == len(toks) {
+			vals, err := slotValues(f, toks)
+			return i, vals, err
+		}
+		reach = max(reach, n)
 	}
-	for _, sf := range suffixes {
-		if strings.HasSuffix(ls, sf.suf) {
-			v, err := strconv.ParseFloat(strings.TrimSuffix(ls, sf.suf), 64)
-			if err != nil {
-				return 0, fmt.Errorf("tc: bad size %q", s)
-			}
-			return v * sf.mult, nil
+	var want []string
+	for _, f := range forms {
+		if matchLen(f, toks) == reach && reach < len(f) && !slices.Contains(want, f[reach]) {
+			want = append(want, f[reach])
 		}
 	}
-	v, err := strconv.ParseFloat(ls, 64)
-	if err != nil {
-		return 0, fmt.Errorf("tc: bad size %q", s)
+	switch {
+	case reach == len(toks):
+		return 0, nil, fmt.Errorf("tc: command %q ends early (want %s next)",
+			strings.Join(toks, " "), strings.Join(want, " or "))
+	case len(want) == 0:
+		return 0, nil, fmt.Errorf("tc: unexpected %q at end of command", toks[reach])
+	default:
+		return 0, nil, fmt.Errorf("tc: unexpected %q (want %s)", toks[reach], strings.Join(want, " or "))
 	}
-	return v, nil
 }
 
-func (c *Controller) execQdisc(host *simnet.Host, toks []string) error {
-	a := &args{toks: toks}
-	verb, err := a.expect("verb")
-	if err != nil {
-		return err
+// matchLen returns how many leading words of toks the form accepts,
+// counting any word as a match for a value slot.
+func matchLen(form, toks []string) int {
+	n := 0
+	for n < len(form) && n < len(toks) && (isSlot(form[n]) || form[n] == toks[n]) {
+		n++
 	}
-	if err := a.consumeDev(); err != nil {
-		return err
-	}
-	if t, ok := a.next(); !ok || t != "root" {
-		return fmt.Errorf("tc: only root qdiscs are supported")
-	}
-	switch verb {
-	case "del":
-		host.SetEgressQdisc(qdisc.NewPFIFO(0))
-		return nil
-	case "add", "replace":
-	default:
-		return fmt.Errorf("tc: unknown qdisc verb %q", verb)
-	}
-	kind, err := a.expect("qdisc kind")
-	if err != nil {
-		return err
-	}
-	linkRate := host.Egress.RateBytes()
-	switch kind {
-	case "pfifo":
-		limit := 0
-		for {
-			t, ok := a.next()
-			if !ok {
-				break
-			}
-			if t == "limit" {
-				if limit, err = a.expectInt("limit"); err != nil {
-					return err
-				}
-				if limit < 0 {
-					return fmt.Errorf("tc: pfifo: negative limit %d", limit)
-				}
-			} else {
-				return fmt.Errorf("tc: pfifo: unknown option %q", t)
-			}
+	return n
+}
+
+func isSlot(w string) bool { return strings.HasPrefix(w, "<") }
+
+// slotValues parses the values in a command that matches form. Every
+// slot follows the keyword it is named by in errors ("bad classid").
+func slotValues(form, toks []string) ([]float64, error) {
+	var vals []float64
+	for i, w := range form {
+		if !isSlot(w) {
+			continue
 		}
-		host.SetEgressQdisc(qdisc.NewPFIFO(limit))
-	case "pfifo_fast":
-		host.SetEgressQdisc(qdisc.NewPFIFOFast())
-	case "prio":
-		bands := 3
-		for {
-			t, ok := a.next()
-			if !ok {
-				break
+		if w == "<rate>" {
+			r, err := ParseRate(toks[i])
+			if err != nil {
+				return nil, err
 			}
-			if t == "bands" {
-				if bands, err = a.expectInt("bands"); err != nil {
-					return err
-				}
-			} else {
-				return fmt.Errorf("tc: prio: unknown option %q", t)
-			}
+			vals = append(vals, r)
+			continue
 		}
+		n, err := strconv.Atoi(toks[i])
+		if err != nil {
+			return nil, fmt.Errorf("tc: bad %s %q", form[i-1], toks[i])
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("tc: negative %s %d", form[i-1], n)
+		}
+		vals = append(vals, float64(n))
+	}
+	return vals, nil
+}
+
+// apply installs one parsed command on the host's egress.
+func apply(host *simnet.Host, form int, v []float64) error {
+	switch form {
+	case htbRoot:
+		host.SetEgressQdisc(qdisc.NewHTB(host.Egress.RateBytes(), qdisc.ClassID(v[0])))
+	case prioRoot:
+		bands := int(v[0])
 		if bands < 1 || bands > 16 {
 			return fmt.Errorf("tc: prio: bands %d out of range [1,16]", bands)
 		}
 		host.SetEgressQdisc(qdisc.NewPrio(bands))
-	case "sfq":
-		buckets := 128
-		for {
-			t, ok := a.next()
-			if !ok {
-				break
-			}
-			if t == "buckets" || t == "divisor" {
-				if buckets, err = a.expectInt("buckets"); err != nil {
-					return err
-				}
-				if buckets < 1 {
-					return fmt.Errorf("tc: sfq: buckets %d must be positive", buckets)
-				}
-			} else {
-				return fmt.Errorf("tc: sfq: unknown option %q", t)
-			}
-		}
-		host.SetEgressQdisc(qdisc.NewSFQ(buckets))
-	case "tbf":
-		rate := 0.0
-		burst := 0.0
-		limit := 0
-		for {
-			t, ok := a.next()
-			if !ok {
-				break
-			}
-			switch t {
-			case "rate":
-				rs, err := a.expect("rate value")
-				if err != nil {
-					return err
-				}
-				if rate, err = ParseRate(rs); err != nil {
-					return err
-				}
-			case "burst":
-				bs, err := a.expect("burst value")
-				if err != nil {
-					return err
-				}
-				if burst, err = ParseSize(bs); err != nil {
-					return err
-				}
-			case "limit":
-				if limit, err = a.expectInt("limit"); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("tc: tbf: unknown option %q", t)
-			}
-		}
-		if rate <= 0 {
-			return fmt.Errorf("tc: tbf requires a rate")
-		}
-		host.SetEgressQdisc(qdisc.NewTBF(rate, burst, limit))
-	case "htb":
-		def := -1
-		for {
-			t, ok := a.next()
-			if !ok {
-				break
-			}
-			if t == "default" {
-				if def, err = a.expectInt("default class"); err != nil {
-					return err
-				}
-			} else {
-				return fmt.Errorf("tc: htb: unknown option %q", t)
-			}
-		}
-		host.SetEgressQdisc(qdisc.NewHTB(linkRate, qdisc.ClassID(def)))
-	default:
-		return fmt.Errorf("tc: unknown qdisc kind %q", kind)
-	}
-	return nil
-}
-
-func (c *Controller) execClass(host *simnet.Host, toks []string) error {
-	a := &args{toks: toks}
-	verb, err := a.expect("verb")
-	if err != nil {
-		return err
-	}
-	if err := a.consumeDev(); err != nil {
-		return err
-	}
-	htb, ok := host.Egress.Qdisc().(*qdisc.HTB)
-	if !ok {
-		return fmt.Errorf("tc: class commands require an htb root (have %s)",
-			host.Egress.Qdisc().Kind())
-	}
-	if t, e := a.expect("classid keyword"); e != nil {
-		return e
-	} else if t != "classid" {
-		return fmt.Errorf("tc: expected 'classid', got %q", t)
-	}
-	id, err := a.expectInt("classid")
-	if err != nil {
-		return err
-	}
-	if id < 0 {
-		return fmt.Errorf("tc: negative classid %d", id)
-	}
-	if verb == "del" {
-		return htb.DeleteClass(qdisc.ClassID(id))
-	}
-	var cfg qdisc.HTBClassConfig
-	cfg.Prio = -1 // "unspecified" for change
-	for {
-		t, ok := a.next()
+	case delRoot:
+		host.SetEgressQdisc(qdisc.NewPFIFO())
+	case classAdd:
+		htb, ok := host.Egress.Qdisc().(*qdisc.HTB)
 		if !ok {
-			break
+			return fmt.Errorf("tc: class commands require an htb root (have %s)",
+				host.Egress.Qdisc().Kind())
 		}
-		switch t {
-		case "rate":
-			rs, e := a.expect("rate value")
-			if e != nil {
-				return e
-			}
-			if cfg.Rate, err = ParseRate(rs); err != nil {
-				return err
-			}
-		case "ceil":
-			rs, e := a.expect("ceil value")
-			if e != nil {
-				return e
-			}
-			if cfg.Ceil, err = ParseRate(rs); err != nil {
-				return err
-			}
-		case "prio":
-			if cfg.Prio, err = a.expectInt("prio"); err != nil {
-				return err
-			}
-		case "burst":
-			bs, e := a.expect("burst value")
-			if e != nil {
-				return e
-			}
-			if cfg.Burst, err = ParseSize(bs); err != nil {
-				return err
-			}
-		case "cburst":
-			bs, e := a.expect("cburst value")
-			if e != nil {
-				return e
-			}
-			if cfg.CBurst, err = ParseSize(bs); err != nil {
-				return err
-			}
-		case "quantum":
-			qs, e := a.expect("quantum value")
-			if e != nil {
-				return e
-			}
-			if cfg.Quantum, err = ParseSize(qs); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("tc: class: unknown option %q", t)
+		return htb.AddClass(qdisc.ClassID(v[0]),
+			qdisc.HTBClassConfig{Rate: v[1], Ceil: v[2], Prio: int(v[3])})
+	case filterAdd:
+		cl, err := classifierOf(host)
+		if err != nil {
+			return err
 		}
-	}
-	switch verb {
-	case "add":
-		if cfg.Prio < 0 {
-			cfg.Prio = 0
-		}
-		return htb.AddClass(qdisc.ClassID(id), cfg)
-	case "change":
-		return htb.ChangeClass(qdisc.ClassID(id), cfg)
-	default:
-		return fmt.Errorf("tc: unknown class verb %q", verb)
-	}
-}
-
-// classifierOf returns the filter chain of a classful root qdisc.
-func classifierOf(host *simnet.Host) (*qdisc.Classifier, error) {
-	switch q := host.Egress.Qdisc().(type) {
-	case *qdisc.HTB:
-		return q.Classifier(), nil
-	case *qdisc.Prio:
-		return q.Classifier(), nil
-	default:
-		return nil, fmt.Errorf("tc: filters require a classful root (have %s)", q.Kind())
-	}
-}
-
-func (c *Controller) execFilter(host *simnet.Host, toks []string) error {
-	a := &args{toks: toks}
-	verb, err := a.expect("verb")
-	if err != nil {
-		return err
-	}
-	if err := a.consumeDev(); err != nil {
-		return err
-	}
-	cl, err := classifierOf(host)
-	if err != nil {
-		return err
-	}
-	pref := 0
-	hasPref := false
-	match := qdisc.MatchAll()
-	target := qdisc.NoClass
-	hasTarget := false
-	all := false
-	for {
-		t, ok := a.next()
-		if !ok {
-			break
-		}
-		switch t {
-		case "pref", "prio":
-			if pref, err = a.expectInt("pref"); err != nil {
-				return err
-			}
-			if pref < 0 {
-				return fmt.Errorf("tc: filter: negative pref %d", pref)
-			}
-			hasPref = true
-		case "match":
-			// Consume key/value pairs until a non-match keyword.
-			done := false
-			for !done {
-				key, ok := a.next()
-				if !ok {
-					break
-				}
-				switch key {
-				case "sport":
-					if match.SrcPort, err = a.expectInt("sport"); err != nil {
-						return err
-					}
-				case "dport":
-					if match.DstPort, err = a.expectInt("dport"); err != nil {
-						return err
-					}
-				case "job":
-					if match.JobID, err = a.expectInt("job"); err != nil {
-						return err
-					}
-				case "mark":
-					if match.Mark, err = a.expectInt("mark"); err != nil {
-						return err
-					}
-				default:
-					a.pos-- // not ours; let the outer loop handle it
-					done = true
-				}
-			}
-		case "flowid", "classid":
-			id, e := a.expectInt("flowid")
-			if e != nil {
-				return e
-			}
-			if id < 0 {
-				return fmt.Errorf("tc: filter: negative flowid %d", id)
-			}
-			target = qdisc.ClassID(id)
-			hasTarget = true
-		case "all":
-			all = true
-		default:
-			return fmt.Errorf("tc: filter: unknown option %q", t)
-		}
-	}
-	switch verb {
-	case "add":
-		if !hasTarget {
-			return fmt.Errorf("tc: filter add needs flowid")
-		}
+		target := qdisc.ClassID(v[2])
 		// The flowid must name an existing destination, as real tc
 		// enforces: an htb class already added, or a prio band in range.
 		switch q := host.Egress.Qdisc().(type) {
@@ -574,23 +271,26 @@ func (c *Controller) execFilter(host *simnet.Host, toks []string) error {
 					target, q.Bands())
 			}
 		}
-		cl.Add(qdisc.Filter{Pref: pref, Match: match, Target: target})
-		return nil
-	case "del":
-		if all {
-			cl.Clear()
-			return nil
+		cl.Add(qdisc.Filter{Pref: int(v[0]), Match: qdisc.MatchSrcPort(int(v[1])), Target: target})
+	case filterDelAll:
+		cl, err := classifierOf(host)
+		if err != nil {
+			return err
 		}
-		if !hasPref {
-			return fmt.Errorf("tc: filter del needs pref or 'all'")
-		}
-		n := cl.RemoveWhere(func(f qdisc.Filter) bool { return f.Pref == pref })
-		if n == 0 {
-			return fmt.Errorf("tc: no filter with pref %d", pref)
-		}
-		return nil
+		cl.Clear()
+	}
+	return nil
+}
+
+// classifierOf returns the filter chain of a classful root qdisc.
+func classifierOf(host *simnet.Host) (*qdisc.Classifier, error) {
+	switch q := host.Egress.Qdisc().(type) {
+	case *qdisc.HTB:
+		return q.Classifier(), nil
+	case *qdisc.Prio:
+		return q.Classifier(), nil
 	default:
-		return fmt.Errorf("tc: unknown filter verb %q", verb)
+		return nil, fmt.Errorf("tc: filters require a classful root (have %s)", q.Kind())
 	}
 }
 

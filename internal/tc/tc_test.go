@@ -52,38 +52,15 @@ func TestParseRate(t *testing.T) {
 	}
 }
 
-func TestParseSize(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64
-	}{
-		{"1kb", 1024},
-		{"2mb", 2 << 20},
-		{"512b", 512},
-		{"100", 100},
-	}
-	for _, c := range cases {
-		got, err := ParseSize(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("%s: got %v err %v", c.in, got, err)
-		}
-	}
-	if _, err := ParseSize("huge"); err == nil {
-		t.Fatal("bad size accepted")
-	}
-}
-
 func TestQdiscAddKinds(t *testing.T) {
 	fab, ctl := newTestFabric(t)
 	cases := []struct {
 		cmd  string
 		kind string
 	}{
-		{"qdisc add dev eth0 root pfifo limit 100", "pfifo"},
 		{"qdisc add dev eth0 root prio bands 6", "prio"},
-		{"qdisc add dev eth0 root sfq buckets 64", "sfq"},
-		{"qdisc add dev eth0 root tbf rate 1gbit burst 32kb", "tbf"},
 		{"qdisc add dev eth0 root htb default 5", "htb"},
+		{"qdisc del dev eth0 root", "pfifo"},
 	}
 	for _, c := range cases {
 		if err := ctl.Exec(0, c.cmd); err != nil {
@@ -104,14 +81,6 @@ func TestQdiscDelRestoresPfifo(t *testing.T) {
 	ctl.MustExec(0, "qdisc del dev eth0 root")
 	if fab.Host(0).Egress.Qdisc().Kind() != "pfifo" {
 		t.Fatal("del did not restore pfifo")
-	}
-}
-
-func TestLeadingTcWordOptional(t *testing.T) {
-	fab, ctl := newTestFabric(t)
-	ctl.MustExec(0, "tc qdisc add dev eth0 root prio bands 4")
-	if fab.Host(0).Egress.Qdisc().Kind() != "prio" {
-		t.Fatal("tc prefix not accepted")
 	}
 }
 
@@ -149,29 +118,12 @@ func TestFullTensorLightsSequence(t *testing.T) {
 	}
 }
 
-func TestClassChangeAndDelete(t *testing.T) {
-	fab, ctl := newTestFabric(t)
-	ctl.MustExec(0, "qdisc add dev eth0 root htb default 0")
-	ctl.MustExec(0, "class add dev eth0 classid 0 rate 1mbit ceil 10gbit prio 5")
-	ctl.MustExec(0, "class change dev eth0 classid 0 prio 2")
-	htb := fab.Host(0).Egress.Qdisc().(*qdisc.HTB)
-	if htb.Class(0).Config().Prio != 2 {
-		t.Fatal("prio change lost")
-	}
-	if htb.Class(0).Config().Ceil != 1.25e9 {
-		t.Fatal("ceil lost on change")
-	}
-	ctl.MustExec(0, "class del dev eth0 classid 0")
-	if htb.Class(0) != nil {
-		t.Fatal("class not deleted")
-	}
-}
-
 func TestClassRequiresHTB(t *testing.T) {
 	_, ctl := newTestFabric(t)
 	ctl.MustExec(0, "qdisc add dev eth0 root prio bands 3")
-	if err := ctl.Exec(0, "class add dev eth0 classid 0 rate 1mbit"); err == nil {
-		t.Fatal("class add on prio accepted")
+	err := ctl.Exec(0, "class add dev eth0 classid 0 rate 1mbit ceil 10gbit prio 0")
+	if err == nil || !strings.Contains(err.Error(), "require an htb root") {
+		t.Fatalf("class add on prio: %v", err)
 	}
 }
 
@@ -180,28 +132,31 @@ func TestFilterDel(t *testing.T) {
 	ctl.MustExec(0, "qdisc add dev eth0 root prio bands 3")
 	ctl.MustExec(0, "filter add dev eth0 pref 1 match sport 5000 flowid 0")
 	ctl.MustExec(0, "filter add dev eth0 pref 2 match sport 5001 flowid 1")
-	ctl.MustExec(0, "filter del dev eth0 pref 1")
 	pr := fab.Host(0).Egress.Qdisc().(*qdisc.Prio)
-	if pr.Classifier().Len() != 1 {
-		t.Fatal("pref-1 filter not removed")
-	}
-	if err := ctl.Exec(0, "filter del dev eth0 pref 9"); err == nil {
-		t.Fatal("deleting missing filter accepted")
-	}
 	ctl.MustExec(0, "filter del dev eth0 all")
 	if pr.Classifier().Len() != 0 {
-		t.Fatal("filter del all")
+		t.Fatal("filter del all left filters")
+	}
+	// Without a classful root there is no chain to clear.
+	ctl.MustExec(0, "qdisc del dev eth0 root")
+	if err := ctl.Exec(0, "filter del dev eth0 all"); err == nil {
+		t.Fatal("filter del on pfifo accepted")
 	}
 }
 
 func TestFilterMatchKeys(t *testing.T) {
 	fab, ctl := newTestFabric(t)
 	ctl.MustExec(0, "qdisc add dev eth0 root prio bands 4")
-	ctl.MustExec(0, "filter add dev eth0 pref 0 match sport 5000 dport 80 job 3 mark 7 flowid 2")
+	ctl.MustExec(0, "filter add dev eth0 pref 0 match sport 5000 flowid 2")
 	pr := fab.Host(0).Egress.Qdisc().(*qdisc.Prio)
 	f := pr.Classifier().Filters()[0]
-	if f.Match.SrcPort != 5000 || f.Match.DstPort != 80 || f.Match.JobID != 3 || f.Match.Mark != 7 {
-		t.Fatalf("match %+v", f.Match)
+	if f.Match != qdisc.MatchSrcPort(5000) || f.Target != 2 {
+		t.Fatalf("filter %+v", f)
+	}
+	// sport is the only key: a second one is rejected, not ignored.
+	err := ctl.Exec(0, "filter add dev eth0 pref 0 match sport 5000 dport 80 flowid 2")
+	if err == nil || !strings.Contains(err.Error(), `"dport"`) {
+		t.Fatalf("second match key: %v", err)
 	}
 }
 
@@ -210,13 +165,13 @@ func TestErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"qdisc",
-		"blah add dev eth0 root pfifo",
-		"qdisc add dev eth1 root pfifo",               // unknown device
-		"qdisc add dev eth0 parent pfifo",             // non-root
+		"blah add dev eth0 root htb default 0",
+		"qdisc add dev eth1 root htb default 0", // unknown device
+		"qdisc add dev eth0 parent htb default 0",     // non-root
 		"qdisc add dev eth0 root mystery",             // unknown kind
 		"qdisc add dev eth0 root prio bands 99",       // out of range
-		"qdisc add dev eth0 root tbf burst 32kb",      // missing rate
-		"qdisc frobnicate dev eth0 root pfifo",        // unknown verb
+		"qdisc add dev eth0 root htb",                 // missing default
+		"qdisc frobnicate dev eth0 root",              // unknown verb
 		"filter add dev eth0 pref 0 match sport 5000", // no flowid
 	}
 	for _, cmd := range bad {
@@ -224,8 +179,11 @@ func TestErrors(t *testing.T) {
 			t.Fatalf("%q accepted", cmd)
 		}
 	}
+	if ctl.ExecErrors() != len(bad) {
+		t.Fatalf("exec errors %d, want %d", ctl.ExecErrors(), len(bad))
+	}
 	// Filters require a classful root.
-	ctl.MustExec(0, "qdisc add dev eth0 root pfifo")
+	ctl.MustExec(0, "qdisc del dev eth0 root")
 	if err := ctl.Exec(0, "filter add dev eth0 pref 0 match sport 1 flowid 0"); err == nil {
 		t.Fatal("filter on pfifo accepted")
 	}
@@ -296,26 +254,25 @@ func TestClassCommandErrors(t *testing.T) {
 	_, ctl := newTestFabric(t)
 	ctl.MustExec(0, "qdisc add dev eth0 root htb default 0")
 	bad := []string{
-		"class add dev eth0 classid 0 rate nonsense",
-		"class add dev eth0 classid 0 ceil nonsense",
-		"class add dev eth0 classid 0 burst nonsense",
-		"class add dev eth0 classid 0 cburst nonsense",
-		"class add dev eth0 classid 0 quantum nonsense",
+		"class add dev eth0 classid 0 rate nonsense ceil 1mbit prio 0",
+		"class add dev eth0 classid 0 rate 1mbit ceil nonsense prio 0",
+		"class add dev eth0 classid 0 rate 2mbit ceil 1mbit prio 0", // ceil < rate
+		"class add dev eth0 classid 0 rate 1mbit ceil 1mbit prio x",
+		"class add dev eth0 classid 0 rate 1mbit ceil 1mbit",
 		"class add dev eth0 classid 0 rate 1mbit bogus 3",
 		"class add dev eth0 nochassid 0 rate 1mbit",
 		"class frobnicate dev eth0 classid 0 rate 1mbit",
-		"class add dev eth0 classid zzz rate 1mbit",
-		"class del dev eth0 classid 7",
+		"class add dev eth0 classid zzz rate 1mbit ceil 1mbit prio 0",
 	}
 	for _, cmd := range bad {
 		if err := ctl.Exec(0, cmd); err == nil {
 			t.Fatalf("%q accepted", cmd)
 		}
 	}
-	// Full option coverage on the happy path.
-	ctl.MustExec(0, "class add dev eth0 classid 3 rate 1mbit ceil 2mbit prio 4 burst 64kb cburst 64kb quantum 32kb")
-	fab, _ := newTestFabric(t)
-	_ = fab
+	ctl.MustExec(0, "class add dev eth0 classid 3 rate 1mbit ceil 2mbit prio 4")
+	if err := ctl.Exec(0, "class add dev eth0 classid 3 rate 1mbit ceil 2mbit prio 4"); err == nil {
+		t.Fatal("duplicate class accepted")
+	}
 }
 
 func TestShowPrioBands(t *testing.T) {
@@ -332,26 +289,19 @@ func TestFilterErrors(t *testing.T) {
 	ctl.MustExec(0, "qdisc add dev eth0 root prio bands 3")
 	bad := []string{
 		"filter add dev eth0 pref x match sport 1 flowid 0",
-		"filter add dev eth0 match sport nonsense flowid 0",
-		"filter add dev eth0 match dport nonsense flowid 0",
-		"filter add dev eth0 match job nonsense flowid 0",
-		"filter add dev eth0 match mark nonsense flowid 0",
+		"filter add dev eth0 pref 0 match sport nonsense flowid 0",
+		"filter add dev eth0 pref 0 match job 3 flowid 0",
+		"filter add dev eth0 pref 0 match mark 7 flowid 0",
+		"filter add dev eth0 match sport 1 flowid 0", // pref is required
 		"filter add dev eth0 bogus flowid 0",
 		"filter del dev eth0",
 		"filter frobnicate dev eth0 pref 1",
-		"filter add dev eth0 flowid zzz",
+		"filter add dev eth0 pref 0 match sport 1 flowid zzz",
+		"filter add dev eth0 pref 0 match sport 1 flowid 3", // past the last band
 	}
 	for _, cmd := range bad {
 		if err := ctl.Exec(0, cmd); err == nil {
 			t.Fatalf("%q accepted", cmd)
 		}
-	}
-}
-
-func TestPFIFOFastViaTc(t *testing.T) {
-	fab, ctl := newTestFabric(t)
-	ctl.MustExec(0, "qdisc add dev eth0 root pfifo_fast")
-	if fab.Host(0).Egress.Qdisc().Kind() != "pfifo_fast" {
-		t.Fatal("pfifo_fast not installed")
 	}
 }

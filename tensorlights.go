@@ -5,7 +5,7 @@
 // The package is a façade over the internal engine:
 //
 //   - internal/sim      — deterministic discrete-event kernel
-//   - internal/qdisc    — pfifo / prio / htb / tbf / sfq disciplines
+//   - internal/qdisc    — pfifo / prio / htb disciplines
 //   - internal/tc       — Linux-tc-style configuration layer
 //   - internal/simnet   — host NICs, routed fabric topologies, chunked transfers
 //   - internal/cpusim   — processor-sharing host CPUs
