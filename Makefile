@@ -87,6 +87,9 @@ check: build fmt vet staticcheck test race bench-module layer-bench-smoke exampl
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.
+# To compare the working tree with an earlier commit on one workload of
+# the benchmark/ module, run alternating pairs and their compare with
+#   bash scripts/bench_pairs.sh REV WORKLOAD [PAIRS]   (default 10 pairs)
 bench:
 	$(GO) run ./cmd/bench -steps 600 -trials 8 -parallel 4 -out BENCH_sweep.json
 

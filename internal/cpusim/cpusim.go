@@ -32,11 +32,10 @@ type CPU struct {
 	completedTasks uint64
 
 	// onCompletionFn is bound once so rescheduling the (pooled)
-	// completion event never allocates a closure; finishedBuf and
-	// taskArena keep the submit/retire hot path off the allocator.
+	// completion event never allocates a closure; finishedBuf keeps the
+	// retire pass off the allocator.
 	onCompletionFn func()
 	finishedBuf    []*Task
-	taskArena      []Task
 }
 
 // Task is one unit of compute work in progress.
@@ -181,9 +180,9 @@ func (c *CPU) onCompletion() {
 	}
 	// Callbacks only Submit/Cancel (they cannot re-enter onCompletion
 	// synchronously), so the scratch buffer is ours for the whole pass.
-	// Drop the callback and task references before parking it: retired
-	// tasks live on in their arena block, and a retained onDone would
-	// pin everything the closure captured.
+	// Drop the callback and task references before parking it: callers
+	// may keep a retired *Task, and a retained onDone would pin
+	// everything the closure captured.
 	for i, t := range finished {
 		t.onDone = nil
 		finished[i] = nil
@@ -193,7 +192,9 @@ func (c *CPU) onCompletion() {
 
 // Submit adds a task needing `work` single-thread seconds with the given
 // thread demand; onDone fires when it completes. Zero work completes on
-// the next event tick without a callback race.
+// the next event tick without a callback race. Each task is its own
+// allocation and is never reused: callers may hold the returned handle
+// past completion, and Cancel on it is then a no-op.
 func (c *CPU) Submit(work, demand float64, onDone func()) *Task {
 	if work < 0 {
 		panic("cpusim: negative work")
@@ -205,15 +206,7 @@ func (c *CPU) Submit(work, demand float64, onDone func()) *Task {
 		demand = 1
 	}
 	c.advance()
-	// Tasks come from an arena (never reused — Submit hands the pointer
-	// back and callers may hold it past completion), so the per-task
-	// allocator cost amortizes across a block.
-	if len(c.taskArena) == 0 {
-		c.taskArena = make([]Task, 128)
-	}
-	t := &c.taskArena[0]
-	c.taskArena = c.taskArena[1:]
-	t.cpu, t.remaining, t.demand, t.onDone = c, work, demand, onDone
+	t := &Task{cpu: c, remaining: work, demand: demand, onDone: onDone}
 	c.tasks = append(c.tasks, t)
 	c.sumDemand += demand
 	c.reschedule()

@@ -303,3 +303,42 @@ func TestTiedCompletionsFireInSubmissionOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskAllocationAndRetainedHandle guards the per-host memory cost of
+// a CPU: a fresh CPU that runs one task must allocate a few hundred
+// bytes, not a block of tasks it never uses. A 10,240-host testbed
+// submits about one task per CPU per trial, so any per-CPU block is
+// paid on every host. It also pins the handle contract that rules out
+// reusing tasks: a *Task kept past completion reads no remaining work,
+// and cancelling it fires nothing.
+func TestTaskAllocationAndRetainedHandle(t *testing.T) {
+	const maxBytes = 512
+	k := sim.NewKernel()
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c := NewCPU(k, 12)
+			c.Submit(1.0, 1, nil)
+			k.Run(nil)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got > maxBytes {
+		t.Errorf("NewCPU + one Submit + Run allocates %d B, want <= %d", got, maxBytes)
+	}
+
+	c := NewCPU(k, 12)
+	fired := 0
+	task := c.Submit(1.0, 1, func() { fired++ })
+	k.Run(nil)
+	if fired != 1 {
+		t.Fatalf("callback fired %d times, want 1", fired)
+	}
+	if task.Remaining() != 0 {
+		t.Fatalf("retained handle reads %v remaining, want 0", task.Remaining())
+	}
+	c.Cancel(task)
+	k.Run(nil)
+	if fired != 1 || c.Active() != 0 || c.Completed() != 1 {
+		t.Fatalf("Cancel after completion: fired %d, active %d, completed %d; want 1, 0, 1",
+			fired, c.Active(), c.Completed())
+	}
+}
