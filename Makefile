@@ -79,17 +79,22 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # layer-bench-smoke runs every qdisc and flownet microbenchmark once,
-# so the layer benchmarks keep compiling and running.
+# so the layer benchmarks keep compiling and running, then the kernel's
+# benchmarks and the trial and chunk-fabric benchmarks once each with
+# -benchmem, so the allocation counts they report keep running too.
 layer-bench-smoke:
 	$(GO) test ./internal/qdisc ./internal/flownet -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/sim -run '^$$' -bench . -benchtime 1x -benchmem
+	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkTrial$$|BenchmarkFabricChunk' -benchtime 1x -benchmem
 
 check: build fmt vet staticcheck test race bench-module layer-bench-smoke examples serve-smoke runner-smoke flow-equiv
 
 # bench writes BENCH_sweep.json: trials/sec through the sequential and
 # parallel Engine paths, plus ns/event and allocs/event in the kernel.
-# To compare the working tree with an earlier commit on one workload of
+# To compare the working tree with an earlier commit on workloads of
 # the benchmark/ module, run alternating pairs and their compare with
-#   bash scripts/bench_pairs.sh REV WORKLOAD [PAIRS]   (default 10 pairs)
+#   bash scripts/bench_pairs.sh REV WORKLOAD[,WORKLOAD...] [PAIRS [SEED]]
+# (default 10 pairs on seed 1; one compare per workload).
 bench:
 	$(GO) run ./cmd/bench -steps 600 -trials 8 -parallel 4 -out BENCH_sweep.json
 

@@ -73,10 +73,11 @@ func CollectiveSpecs(m dl.Model, rings [][]int, alg collective.Algorithm,
 // RunMixedToCompletionCtx drives the kernel via RunUntil until every PS
 // job and every collective job finishes or fails (a job that lost all
 // its workers never reaches Done). It returns ctx's error on
-// cancellation, and the event-budget error, with the count of
-// unfinished jobs, when maxEvents (0 = 500M) runs out first. With
-// Launch it composes a run by hand: the reference the sweep package's
-// scenario runner is checked against.
+// cancellation, the event-budget error with the count of unfinished
+// jobs when maxEvents (0 = 500M) runs out first, and a "stalled" error
+// with that count when the kernel runs out of events with jobs still
+// unfinished. With Launch it composes a run by hand: the reference the
+// sweep package's scenario runner is checked against.
 func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, cjobs []*collective.Job, maxEvents uint64) error {
 	allDone := func() bool {
 		for _, j := range jobs {
@@ -92,19 +93,27 @@ func (tb *Testbed) RunMixedToCompletionCtx(ctx context.Context, jobs []*dl.Job, 
 		return true
 	}
 	err := tb.RunUntil(ctx, maxEvents, allDone)
-	if errors.Is(err, ErrEventBudget) {
-		unfinished := 0
-		for _, j := range jobs {
-			if !j.Done() && !j.Failed() {
-				unfinished++
-			}
-		}
-		for _, j := range cjobs {
-			if !j.Done() && !j.Failed() {
-				unfinished++
-			}
-		}
-		return fmt.Errorf("%w; %d of %d jobs unfinished", err, unfinished, len(jobs)+len(cjobs))
+	if err != nil && !errors.Is(err, ErrEventBudget) {
+		return err
 	}
-	return err
+	unfinished := 0
+	for _, j := range jobs {
+		if !j.Done() && !j.Failed() {
+			unfinished++
+		}
+	}
+	for _, j := range cjobs {
+		if !j.Done() && !j.Failed() {
+			unfinished++
+		}
+	}
+	total := len(jobs) + len(cjobs)
+	switch {
+	case err != nil:
+		return fmt.Errorf("%w; %d of %d jobs unfinished", err, unfinished, total)
+	case unfinished > 0:
+		return fmt.Errorf("cluster: stalled: %d of %d jobs unfinished after %d events",
+			unfinished, total, tb.K.Fired())
+	}
+	return nil
 }

@@ -69,3 +69,30 @@ func TestRunMixedToCompletionEventBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestRunMixedToCompletionStalled pins that a kernel running dry with
+// jobs neither done nor failed is an error naming the unfinished
+// count, as the sweep runner's "stalled" case is, not a silent success.
+// The two jobs are built but never started, so no event ever fires.
+func TestRunMixedToCompletionStalled(t *testing.T) {
+	tb := NewTestbed(Config{Hosts: 4, Seed: 1})
+	specs, err := GridSearchSpecs(tb.Cfg, dl.ResNet32, 2, 4, 30, Placement{Groups: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]*dl.Job, len(specs))
+	for i, s := range specs {
+		if jobs[i], err = dl.NewJob(tb.Env, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = tb.RunMixedToCompletionCtx(context.Background(), jobs, nil, 0)
+	if err == nil {
+		t.Fatal("a drained kernel with two unstarted jobs returned nil")
+	}
+	for _, want := range []string{"stalled", "2 of 2 jobs unfinished", "after 0 events"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}

@@ -304,3 +304,35 @@ func TestJobStepTargetProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyStateIterationAllocs guards the chunk-fabric training loop
+// against per-flow and per-step garbage: once warm, a synchronous PS
+// iteration allocates only the cpusim tasks it submits — one
+// serialization, then one compute and one gradient apply per worker
+// (cpusim allocates each task, since callers may keep the handle).
+// Chunks, flows and their chunk lists, burst scratch, callbacks and
+// the barrier-wait log are all reused or sized once.
+func TestSteadyStateIterationAllocs(t *testing.T) {
+	env := newEnv(1)
+	j, err := NewJob(env, smallSpec(0, 3*100)) // 100 iterations; 56 run here
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start()
+	target := 5
+	stop := func() bool { return j.iteration >= target }
+	env.K.Run(stop) // warm-up: grows the pools to an iteration's working set
+	iteration := func() {
+		target++
+		env.K.Run(stop)
+	}
+	tasks := float64(2*j.Spec.NumWorkers + 1)
+	got := testing.AllocsPerRun(50, iteration)
+	t.Logf("%.0f allocations per iteration, %.0f cpusim tasks", got, tasks)
+	if got > tasks {
+		t.Errorf("steady-state PS iteration allocates %.0f times, want <= %.0f (its cpusim tasks)", got, tasks)
+	}
+	if j.iteration != target || j.Done() {
+		t.Fatalf("job at iteration %d (done %v), want %d and running", j.iteration, j.Done(), target)
+	}
+}

@@ -18,6 +18,11 @@ type Env struct {
 	RNG    *sim.RNG
 	// Tracer, when non-nil, receives job lifecycle and barrier events.
 	Tracer trace.Tracer
+
+	// burst is broadcastModel's flow-spec scratch, shared by every job
+	// on the testbed: SendBurst copies the specs and never calls back
+	// before it returns.
+	burst []simnet.FlowSpec
 }
 
 // emit sends a trace event if tracing is enabled.
@@ -171,8 +176,9 @@ type Job struct {
 
 	workers []*worker
 
-	// waits[iteration][workerIdx] is the barrier wait time; -1 = unset.
-	waits [][]float64
+	// waits[iteration*NumWorkers+workerIdx] is the barrier wait time;
+	// -1 = unset.
+	waits []float64
 
 	progress []ProgressPoint
 
@@ -185,19 +191,33 @@ type Job struct {
 	// just-completed iteration index; controllers use it to track job
 	// progress without touching application internals.
 	OnBarrier func(*Job, int)
+
+	// Callbacks bound once in NewJob, so a training step allocates
+	// nothing but its cpusim tasks: the flow completions find their
+	// worker by port (see workerOnPort), and broadcast is the PS's
+	// serialize-then-send continuation.
+	modelArrived    func(*simnet.Flow)
+	gradientArrived func(*simnet.Flow)
+	broadcast       func()
 }
 
-// worker tracks one worker task.
+// worker tracks one worker task. Its host and port derive from its
+// index (see host and port).
 type worker struct {
+	job       *Job
 	idx       int
-	host      int
-	port      int
 	localStep int
 	// enterAt is the time this worker's gradient reached the PS for
 	// the current barrier; -1 when not waiting.
 	enterAt   float64
 	enterIter int
 	compute   *cpusim.Task
+	// The worker's cpusim callbacks: its local step finishing, the PS
+	// applying its gradient, and the PS re-serializing the model for it
+	// alone (async jobs and restarts only). Each is bound on first use,
+	// so building a job allocates none and a step allocates only its
+	// tasks.
+	onComputed, onApplied, onResend func()
 
 	// Failure state. A dead worker may come back via restart; a
 	// degraded worker is out of the job for good.
@@ -212,6 +232,50 @@ type worker struct {
 
 // active reports whether the worker currently participates in the job.
 func (w *worker) active() bool { return !w.dead && !w.degraded }
+
+// host returns the worker's host.
+func (w *worker) host() int { return w.job.Spec.WorkerHosts[w.idx] }
+
+// port returns the worker's TCP port: worker i of job ID listens on
+// 30000 + 100*ID + i.
+func (w *worker) port() int { return w.job.workerPort0() + w.idx }
+
+// workerPort0 is worker 0's TCP port.
+func (j *Job) workerPort0() int { return 30000 + j.Spec.ID*100 }
+
+// workerOnPort returns the worker listening on port.
+func (j *Job) workerOnPort(port int) *worker { return j.workers[port-j.workerPort0()] }
+
+// computedFn, appliedFn and resendFn return the worker's cpusim
+// callbacks, binding each on first use.
+func (w *worker) computedFn() func() {
+	if w.onComputed == nil {
+		w.onComputed = func() {
+			w.compute = nil
+			w.job.computeDone(w)
+		}
+	}
+	return w.onComputed
+}
+
+func (w *worker) appliedFn() func() {
+	if w.onApplied == nil {
+		w.onApplied = func() { w.job.gradientApplied(w) }
+	}
+	return w.onApplied
+}
+
+func (w *worker) resendFn() func() {
+	if w.onResend == nil {
+		w.onResend = func() {
+			if w.job.halted() || !w.active() {
+				return
+			}
+			w.job.sendModelTo(w)
+		}
+	}
+	return w.onResend
+}
 
 // NewJob builds a job in the environment. Call Start to launch it.
 func NewJob(env *Env, spec JobSpec) (*Job, error) {
@@ -230,14 +294,19 @@ func NewJob(env *Env, spec JobSpec) (*Job, error) {
 		FailedAt:    -1,
 		barrierSize: spec.NumWorkers,
 	}
-	for i := 0; i < spec.NumWorkers; i++ {
-		j.workers = append(j.workers, &worker{
-			idx:             i,
-			host:            spec.WorkerHosts[i],
-			port:            30000 + spec.ID*100 + i,
-			enterAt:         -1,
-			lastAppliedIter: -1,
-		})
+	j.modelArrived = func(fl *simnet.Flow) { j.workerGotModel(j.workerOnPort(fl.Spec.DstPort)) }
+	j.gradientArrived = func(fl *simnet.Flow) { j.psGotGradient(j.workerOnPort(fl.Spec.SrcPort)) }
+	j.broadcast = func() {
+		if j.halted() {
+			return
+		}
+		j.broadcastModel()
+	}
+	ws := make([]worker, spec.NumWorkers)
+	j.workers = make([]*worker, spec.NumWorkers)
+	for i := range ws {
+		ws[i] = worker{job: j, idx: i, enterAt: -1, lastAppliedIter: -1}
+		j.workers[i] = &ws[i]
 	}
 	return j, nil
 }
@@ -309,38 +378,22 @@ func (j *Job) Start() {
 // servers it is a contended-CPU floor that no NIC scheduling removes.
 func (j *Job) serializeAndBroadcast() {
 	work := float64(j.AliveWorkers()) * j.Spec.Model.SerializeSec()
-	j.env.CPUs[j.Spec.PSHost].Submit(work, 1, func() {
-		if j.halted() {
-			return
-		}
-		j.broadcastModel()
-	})
+	j.env.CPUs[j.Spec.PSHost].Submit(work, 1, j.broadcast)
 }
 
 // broadcastModel sends the current model to every worker in one burst —
 // the bursty, high-fan-out traffic at the heart of the paper.
 func (j *Job) broadcastModel() {
-	specs := make([]simnet.FlowSpec, 0, len(j.workers))
+	specs := j.env.burst[:0]
 	for _, w := range j.workers {
 		if !w.active() {
 			// A dead worker rejoins via restartWorker; a degraded one
 			// never does.
 			continue
 		}
-		w := w
-		specs = append(specs, simnet.FlowSpec{
-			Src:     j.Spec.PSHost,
-			Dst:     w.host,
-			SrcPort: j.Spec.PSPort,
-			DstPort: w.port,
-			JobID:   j.Spec.ID,
-			Bytes:   j.Spec.Model.UpdateBytes(),
-			OnComplete: func(*simnet.Flow) {
-				j.workerGotModel(w)
-			},
-			Transient: true, // nothing retains the flow past OnComplete
-		})
+		specs = append(specs, j.modelSpec(w))
 	}
+	j.env.burst = specs
 	if len(specs) == 0 {
 		return
 	}
@@ -349,18 +402,21 @@ func (j *Job) broadcastModel() {
 
 // sendModelTo unicasts the model to one worker (async mode).
 func (j *Job) sendModelTo(w *worker) {
-	j.env.Fabric.Send(simnet.FlowSpec{
-		Src:     j.Spec.PSHost,
-		Dst:     w.host,
-		SrcPort: j.Spec.PSPort,
-		DstPort: w.port,
-		JobID:   j.Spec.ID,
-		Bytes:   j.Spec.Model.UpdateBytes(),
-		OnComplete: func(*simnet.Flow) {
-			j.workerGotModel(w)
-		},
-		Transient: true, // nothing retains the flow past OnComplete
-	})
+	j.env.Fabric.Send(j.modelSpec(w))
+}
+
+// modelSpec is the PS-to-worker model transfer.
+func (j *Job) modelSpec(w *worker) simnet.FlowSpec {
+	return simnet.FlowSpec{
+		Src:        j.Spec.PSHost,
+		Dst:        w.host(),
+		SrcPort:    j.Spec.PSPort,
+		DstPort:    w.port(),
+		JobID:      j.Spec.ID,
+		Bytes:      j.Spec.Model.UpdateBytes(),
+		OnComplete: j.modelArrived,
+		Transient:  true, // nothing retains the flow past OnComplete
+	}
 }
 
 // workerGotModel fires when a model update fully arrives at a worker:
@@ -385,10 +441,7 @@ func (j *Job) workerGotModel(w *worker) {
 func (j *Job) startCompute(w *worker) {
 	work := j.Spec.Model.StepComputeSec(j.Spec.LocalBatch) *
 		j.rng.LogNormalFactor(j.Spec.ComputeJitterSigma)
-	w.compute = j.env.CPUs[w.host].Submit(work, 1, func() {
-		w.compute = nil
-		j.computeDone(w)
-	})
+	w.compute = j.env.CPUs[w.host()].Submit(work, 1, w.computedFn())
 }
 
 // computeDone pushes the worker's gradient update to the PS.
@@ -398,16 +451,14 @@ func (j *Job) computeDone(w *worker) {
 	}
 	w.localStep++
 	j.env.Fabric.Send(simnet.FlowSpec{
-		Src:     w.host,
-		Dst:     j.Spec.PSHost,
-		SrcPort: w.port,
-		DstPort: j.Spec.PSPort,
-		JobID:   j.Spec.ID,
-		Bytes:   j.Spec.gradBytes(),
-		OnComplete: func(*simnet.Flow) {
-			j.psGotGradient(w)
-		},
-		Transient: true, // nothing retains the flow past OnComplete
+		Src:        w.host(),
+		Dst:        j.Spec.PSHost,
+		SrcPort:    w.port(),
+		DstPort:    j.Spec.PSPort,
+		JobID:      j.Spec.ID,
+		Bytes:      j.Spec.gradBytes(),
+		OnComplete: j.gradientArrived,
+		Transient:  true, // nothing retains the flow past OnComplete
 	})
 }
 
@@ -431,10 +482,7 @@ func (j *Job) psGotGradient(w *worker) {
 	}
 	w.enterAt = now
 	w.enterIter = j.iteration
-	apply := j.Spec.Model.PSApplySecPerGrad
-	j.env.CPUs[j.Spec.PSHost].Submit(apply, 1, func() {
-		j.gradientApplied(w)
-	})
+	j.env.CPUs[j.Spec.PSHost].Submit(j.Spec.Model.PSApplySecPerGrad, 1, w.appliedFn())
 }
 
 // gradientApplied advances the barrier (sync) or answers the worker
@@ -444,12 +492,7 @@ func (j *Job) gradientApplied(w *worker) {
 		return
 	}
 	if j.Spec.Async {
-		j.env.CPUs[j.Spec.PSHost].Submit(j.Spec.Model.SerializeSec(), 1, func() {
-			if j.halted() || !w.active() {
-				return
-			}
-			j.sendModelTo(w)
-		})
+		j.env.CPUs[j.Spec.PSHost].Submit(j.Spec.Model.SerializeSec(), 1, w.resendFn())
 		return
 	}
 	if w.lastAppliedIter == j.iteration {
@@ -492,7 +535,7 @@ func (j *Job) finish(now float64) {
 	})
 	for _, w := range j.workers {
 		if w.compute != nil {
-			j.env.CPUs[w.host].Cancel(w.compute)
+			j.env.CPUs[w.host()].Cancel(w.compute)
 			w.compute = nil
 		}
 	}
@@ -520,12 +563,12 @@ func (j *Job) CrashWorker(idx int) {
 	now := j.env.K.Now()
 	w.dead = true
 	if w.compute != nil {
-		j.env.CPUs[w.host].Cancel(w.compute)
+		j.env.CPUs[w.host()].Cancel(w.compute)
 		w.compute = nil
 	}
 	j.env.emit(trace.Event{
 		At: now, Kind: trace.KindWorkerCrash,
-		Job: j.Spec.ID, Host: w.host, Worker: w.idx,
+		Job: j.Spec.ID, Host: w.host(), Worker: w.idx,
 	})
 	if d := j.Spec.Recovery.DetectTimeoutSec; d > 0 {
 		j.env.K.PostAfter(d, func() { j.workerFailureDetected(w) })
@@ -560,18 +603,13 @@ func (j *Job) restartWorker(w *worker) {
 	j.restarts++
 	j.env.emit(trace.Event{
 		At: j.env.K.Now(), Kind: trace.KindWorkerRestart,
-		Job: j.Spec.ID, Host: w.host, Worker: w.idx,
+		Job: j.Spec.ID, Host: w.host(), Worker: w.idx,
 		Value: float64(w.restarts),
 	})
 	if !j.Spec.Async && w.lastAppliedIter == j.iteration {
 		return
 	}
-	j.env.CPUs[j.Spec.PSHost].Submit(j.Spec.Model.SerializeSec(), 1, func() {
-		if j.halted() || !w.active() {
-			return
-		}
-		j.sendModelTo(w)
-	})
+	j.env.CPUs[j.Spec.PSHost].Submit(j.Spec.Model.SerializeSec(), 1, w.resendFn())
 }
 
 // degradeWorker permanently removes a worker that exhausted its restart
@@ -587,7 +625,7 @@ func (j *Job) degradeWorker(w *worker) {
 	now := j.env.K.Now()
 	j.env.emit(trace.Event{
 		At: now, Kind: trace.KindWorkerDegrade,
-		Job: j.Spec.ID, Host: w.host, Worker: w.idx,
+		Job: j.Spec.ID, Host: w.host(), Worker: w.idx,
 		Value: float64(j.barrierSize),
 	})
 	if j.barrierSize <= 0 {
@@ -616,7 +654,7 @@ func (j *Job) fail(now float64) {
 	})
 	for _, w := range j.workers {
 		if w.compute != nil {
-			j.env.CPUs[w.host].Cancel(w.compute)
+			j.env.CPUs[w.host()].Cancel(w.compute)
 			w.compute = nil
 		}
 	}
@@ -637,14 +675,22 @@ func (j *Job) recordProgress(now float64) {
 
 // recordWait stores one worker's barrier wait sample.
 func (j *Job) recordWait(iter, workerIdx int, wait float64) {
-	for len(j.waits) <= iter {
-		row := make([]float64, j.Spec.NumWorkers)
-		for i := range row {
-			row[i] = -1
+	n := j.Spec.NumWorkers
+	if j.waits == nil {
+		// Size the log for the whole run in one allocation: a
+		// synchronous job records ceil(target/workers) barriers (more
+		// only if workers degrade away, and then appends), an
+		// asynchronous one only iteration 0.
+		iters := 1
+		if !j.Spec.Async {
+			iters = (j.Spec.TargetGlobalSteps + n - 1) / n
 		}
-		j.waits = append(j.waits, row)
+		j.waits = make([]float64, 0, iters*n)
 	}
-	j.waits[iter][workerIdx] = wait
+	for len(j.waits) < (iter+1)*n {
+		j.waits = append(j.waits, -1)
+	}
+	j.waits[iter*n+workerIdx] = wait
 }
 
 // BarrierStat summarizes one barrier's wait times across the job's
@@ -661,7 +707,8 @@ type BarrierStat struct {
 // completion is excluded, as in the paper's methodology).
 func (j *Job) BarrierStats() []BarrierStat {
 	var out []BarrierStat
-	for iter, row := range j.waits {
+	for iter := 0; iter*j.Spec.NumWorkers < len(j.waits); iter++ {
+		row := j.waits[iter*j.Spec.NumWorkers:][:j.Spec.NumWorkers]
 		n := 0
 		sum := 0.0
 		for _, v := range row {

@@ -105,6 +105,13 @@ func (q *fifoQueue) pop() *Chunk {
 	q.items[q.head] = nil
 	q.head++
 	q.bytes -= c.Bytes
+	if q.head == len(q.items) {
+		// Drained: refill from the front of the same backing array
+		// rather than appending past its end.
+		q.items = q.items[:0]
+		q.head = 0
+		return c
+	}
 	// Compact occasionally so memory stays proportional to occupancy.
 	if q.head > 64 && q.head*2 >= len(q.items) {
 		n := copy(q.items, q.items[q.head:])

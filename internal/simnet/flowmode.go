@@ -188,13 +188,14 @@ func (fm *flowMode) classify(src int, fl *Flow) (band, classLink int) {
 // so a mode switch never perturbs later draws from shared streams.
 func (f *Fabric) sendBurstFlow(src int, specs []FlowSpec) []*Flow {
 	now := f.k.Now()
-	flows := make([]*Flow, len(specs))
+	flows := f.burstFlows[:0]
 	admitted := 0
-	for i, spec := range specs {
+	for _, spec := range specs {
 		fl, w := f.sendOneFlow(src, spec, now)
-		flows[i] = fl
+		flows = append(flows, fl)
 		admitted += w
 	}
+	f.burstFlows = flows
 	// Burn the injection-jitter draws the chunk fabric would make for
 	// the first-window interleave: Intn's rejection sampling consumes a
 	// draw count that depends on its argument, so the arguments must

@@ -164,12 +164,16 @@ type Fabric struct {
 	chunkFree []*qdisc.Chunk
 	// flowArena hands out Flow structs from block allocations; flowFree
 	// recycles the ones whose spec was marked Transient (the caller
-	// promised not to retain them past completion). Non-transient flows
-	// are never reused — Send returns them and callers may read
-	// Finished/Delivered long after completion — so for those the arena
-	// only amortizes the allocator.
+	// promised not to retain them past completion), chunk list included.
+	// Non-transient flows are never reused — Send returns them and
+	// callers may read Finished/Delivered long after completion — so for
+	// those the arena only amortizes the allocator.
 	flowArena []Flow
 	flowFree  []*Flow
+	// burstFlows and burstLists are SendBurst's scratch: the flows it
+	// returns and each flow's first window, reused burst after burst.
+	burstFlows []*Flow
+	burstLists [][]*qdisc.Chunk
 	// Long-lived PostArg callbacks for the per-chunk hot paths; built in
 	// New so scheduling a hop/delivery/retransmit allocates no closure.
 	deliverIngressFn func(any)
@@ -252,9 +256,12 @@ func (f *Fabric) newFlow() *Flow {
 
 // releaseFlow recycles a completed Transient flow: cleared back to the
 // zero state newFlow promises, so pooled and arena flows are
-// indistinguishable to the send paths.
+// indistinguishable to the send paths. The emptied chunk list stays for
+// makeChunks to refill.
 func (f *Fabric) releaseFlow(fl *Flow) {
-	*fl = Flow{}
+	chunks := fl.chunks
+	clear(chunks)
+	*fl = Flow{chunks: chunks[:0]}
 	f.flowFree = append(f.flowFree, fl)
 }
 
@@ -427,10 +434,12 @@ type Flow struct {
 	Finished          float64 // completion time; -1 until then
 	deliveredBytes    int64
 	chunksOutstanding int
-	// window is the socket window in chunks; pending holds chunks not
-	// yet admitted to the egress qdisc.
-	window  int
-	pending []*qdisc.Chunk
+	// window is the socket window in chunks; chunks is the whole chunk
+	// list and chunks[next:] the chunks not yet admitted to the egress
+	// qdisc.
+	window int
+	chunks []*qdisc.Chunk
+	next   int
 	// route is the ordered core links the flow's chunks traverse
 	// between the source egress and destination ingress NICs (nil on
 	// single-hop paths: flat topology, or same-rack in leaf-spine).
@@ -456,14 +465,21 @@ func (fl *Flow) Done() bool { return fl.Finished >= 0 }
 
 // Send starts a single flow, enqueueing all its chunks in order.
 func (f *Fabric) Send(spec FlowSpec) *Flow {
+	// Both modes draw RNG exactly as a one-spec burst would.
+	now := f.k.Now()
 	if f.cfg.Mode == ModeFlow {
-		// One transfer, one engine flow: skip SendBurst's result slice
-		// (the analytic fabric's arrival path is hot enough to care).
-		// The RNG draw sequence matches a one-spec burst exactly.
-		fl, _ := f.sendOneFlow(spec.Src, spec, f.k.Now())
+		fl, _ := f.sendOneFlow(spec.Src, spec, now)
 		return fl
 	}
-	return f.SendBurst(spec.Src, []FlowSpec{spec})[0]
+	// A single flow's first window injects in order, with no jitter
+	// draw, so no interleave is needed.
+	fl, window := f.startChunkFlow(spec.Src, spec, now)
+	egress := f.Host(spec.Src).Egress
+	for _, ch := range window {
+		egress.enqueue(ch, now)
+	}
+	egress.kick()
+	return fl
 }
 
 // SendBurst starts several flows from one sender "simultaneously" — the
@@ -474,51 +490,58 @@ func (f *Fabric) Send(spec FlowSpec) *Flow {
 // queue: every flow's tail chunk lands near the end of the burst, so
 // under FIFO contention the per-flow completion times spread across the
 // whole service window.
+//
+// The returned flows, in specs order, sit in a slice the fabric reuses:
+// it stays valid until the next SendBurst call.
 func (f *Fabric) SendBurst(src int, specs []FlowSpec) []*Flow {
 	if f.cfg.Mode == ModeFlow {
 		return f.sendBurstFlow(src, specs)
 	}
 	now := f.k.Now()
-	flows := make([]*Flow, len(specs))
-	chunkLists := make([][]*qdisc.Chunk, len(specs))
-	for i, spec := range specs {
-		if spec.Src != src {
-			panic("simnet: SendBurst specs must share src")
-		}
-		if spec.Bytes <= 0 {
-			panic("simnet: flow bytes must be positive")
-		}
-		fl := f.newFlow()
-		fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
-		fl.window = f.sampleWindow()
-		flows[i] = fl
-		f.flows[fl.ID] = fl
-		chunks := f.makeChunks(fl)
-		fl.chunksOutstanding = len(chunks)
-		if fl.Spec.Dst == src {
-			// Loopback: bypass the NIC (and windowing) entirely.
-			for _, ch := range chunks {
-				f.deliverLoopback(fl, ch)
-			}
-			continue
-		}
-		// Routing is a pure flow-hash lookup (no RNG), so computing it
-		// here perturbs nothing on the flat topology.
-		fl.route = f.Topology().Route(spec.Src, spec.Dst, spec.SrcPort, spec.DstPort)
-		// Admit the first window; the rest inject as chunks drain.
-		w := fl.window
-		if w > len(chunks) {
-			w = len(chunks)
-		}
-		chunkLists[i] = chunks[:w]
-		fl.pending = chunks[w:]
+	flows, lists := f.burstFlows[:0], f.burstLists[:0]
+	for _, spec := range specs {
+		fl, window := f.startChunkFlow(src, spec, now)
+		flows = append(flows, fl)
+		lists = append(lists, window)
 	}
 	srcHost := f.Host(src)
-	for _, ch := range f.interleave(chunkLists) {
-		srcHost.Egress.enqueue(ch, now)
-	}
+	f.interleave(srcHost.Egress, lists, now)
 	srcHost.Egress.kick()
+	clear(lists) // pin no flow's chunk list until the next burst
+	f.burstFlows, f.burstLists = flows, lists
 	return flows
+}
+
+// startChunkFlow creates one chunk-fabric flow from src and returns it
+// with its first window: the chunks to inject now, the rest following
+// as the window drains. Loopback flows bypass the NIC and return no
+// window.
+func (f *Fabric) startChunkFlow(src int, spec FlowSpec, now float64) (*Flow, []*qdisc.Chunk) {
+	if spec.Src != src {
+		panic("simnet: SendBurst specs must share src")
+	}
+	if spec.Bytes <= 0 {
+		panic("simnet: flow bytes must be positive")
+	}
+	fl := f.newFlow()
+	fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
+	fl.window = f.sampleWindow()
+	f.flows[fl.ID] = fl
+	f.makeChunks(fl)
+	fl.chunksOutstanding = len(fl.chunks)
+	if spec.Dst == src {
+		// Loopback: bypass the NIC (and windowing) entirely.
+		for _, ch := range fl.chunks {
+			f.deliverLoopback(fl, ch)
+		}
+		fl.next = len(fl.chunks)
+		return fl, nil
+	}
+	// Routing is a pure flow-hash lookup (no RNG), so computing it
+	// here perturbs nothing on the flat topology.
+	fl.route = f.Topology().Route(spec.Src, spec.Dst, spec.SrcPort, spec.DstPort)
+	fl.next = min(fl.window, len(fl.chunks))
+	return fl, fl.chunks[:fl.next]
 }
 
 // sampleWindow draws a flow's socket window from the configured
@@ -562,66 +585,65 @@ func (f *Fabric) chunkDequeued(p *Port, ch *qdisc.Chunk) {
 		return
 	}
 	fl := ch.Payload.(*Flow)
-	if len(fl.pending) == 0 {
+	if fl.next == len(fl.chunks) {
 		return
 	}
-	next := fl.pending[0]
-	fl.pending = fl.pending[1:]
+	next := fl.chunks[fl.next]
+	fl.next++
 	p.enqueue(next, f.k.Now())
 }
 
-// interleave merges the per-flow chunk lists into one injection order,
-// preserving each flow's internal order. With InjectJitter > 0 the merge
-// is a weighted-random interleave (each next chunk drawn from a flow
-// with probability proportional to its remaining chunks), which models
-// the persistent unfairness of concurrent TCP streams: some sockets
-// randomly drain earlier than others, so per-flow completion times
-// spread across the burst's service window. With jitter 0 the merge is
-// a deterministic round robin.
-func (f *Fabric) interleave(chunkLists [][]*qdisc.Chunk) []*qdisc.Chunk {
+// interleave enqueues the per-flow chunk lists into port p in one
+// injection order, preserving each flow's internal order; it consumes
+// lists. With InjectJitter > 0 the merge is a weighted-random interleave
+// (each next chunk drawn from a flow with probability proportional to
+// its remaining chunks), which models the persistent unfairness of
+// concurrent TCP streams: some sockets randomly drain earlier than
+// others, so per-flow completion times spread across the burst's
+// service window. With jitter 0 the merge is a deterministic round
+// robin.
+func (f *Fabric) interleave(p *Port, lists [][]*qdisc.Chunk, now float64) {
 	total := 0
 	maxChunks := 0
-	for _, cl := range chunkLists {
+	for _, cl := range lists {
 		total += len(cl)
 		if len(cl) > maxChunks {
 			maxChunks = len(cl)
 		}
 	}
-	out := make([]*qdisc.Chunk, 0, total)
-	if f.cfg.InjectJitter <= 0 || len(chunkLists) == 1 {
+	if f.cfg.InjectJitter <= 0 || len(lists) == 1 {
 		for r := 0; r < maxChunks; r++ {
-			for i := range chunkLists {
-				if r < len(chunkLists[i]) {
-					out = append(out, chunkLists[i][r])
+			for _, cl := range lists {
+				if r < len(cl) {
+					p.enqueue(cl[r], now)
 				}
 			}
 		}
-		return out
+		return
 	}
-	next := make([]int, len(chunkLists))
-	remaining := total
-	for remaining > 0 {
+	for remaining := total; remaining > 0; remaining-- {
 		pick := f.rng.Intn(remaining)
-		for i := range chunkLists {
-			left := len(chunkLists[i]) - next[i]
-			if pick < left {
-				out = append(out, chunkLists[i][next[i]])
-				next[i]++
-				remaining--
+		for i, cl := range lists {
+			if pick < len(cl) {
+				p.enqueue(cl[0], now)
+				lists[i] = cl[1:]
 				break
 			}
-			pick -= left
+			pick -= len(cl)
 		}
 	}
-	return out
 }
 
-// makeChunks splits the flow into chunk descriptors.
-func (f *Fabric) makeChunks(fl *Flow) []*qdisc.Chunk {
+// makeChunks splits the flow into chunk descriptors, refilling the
+// flow's chunk list in place.
+func (f *Fabric) makeChunks(fl *Flow) {
 	n := int((fl.Spec.Bytes + f.cfg.ChunkBytes - 1) / f.cfg.ChunkBytes)
-	chunks := make([]*qdisc.Chunk, n)
+	if cap(fl.chunks) < n {
+		fl.chunks = make([]*qdisc.Chunk, n)
+	}
+	chunks := fl.chunks[:n]
 	remaining := fl.Spec.Bytes
-	for i := 0; i < n; i++ {
+	for i := range chunks {
 		sz := f.cfg.ChunkBytes
 		if remaining < sz {
 			sz = remaining
@@ -636,7 +658,7 @@ func (f *Fabric) makeChunks(fl *Flow) []*qdisc.Chunk {
 		c.Payload = fl
 		chunks[i] = c
 	}
-	return chunks
+	fl.chunks = chunks
 }
 
 // forwardFromEgress routes a chunk leaving its source NIC: straight to
@@ -702,6 +724,8 @@ func (f *Fabric) chunkDelivered(ch *qdisc.Chunk) {
 		}
 		if fl.Spec.Transient {
 			f.releaseFlow(fl)
+		} else {
+			fl.chunks = nil // a retained flow need not pin its chunk list
 		}
 	}
 }

@@ -62,24 +62,54 @@ func BenchmarkFabricChunk(b *testing.B) {
 
 // TestFabricChunkPooledAllocs pins the chunk fabric's steady-state
 // allocation behavior: once a warm-up burst has primed the chunk free
-// list and the kernel's event pool, pushing further bursts through the
-// same fabric must not allocate per chunk.
+// list, the flow pool and the kernel's event pool, pushing further
+// bursts through the same fabric must not allocate per chunk (one big
+// flow) or per flow (a PS's burst of small model updates).
 func TestFabricChunkPooledAllocs(t *testing.T) {
-	const flowBytes = int64(32 << 20)
-	k := sim.NewKernel()
-	f := simnet.New(k, sim.NewRNG(1), simnet.Config{})
-	f.AddHost("src")
-	f.AddHost("dst")
-	send := func() {
-		f.Send(simnet.FlowSpec{Src: 0, Dst: 1, SrcPort: 1, DstPort: 100, Bytes: flowBytes})
-		k.Run(nil)
-	}
-	send() // warm-up: grows the pools to the burst's working set
-	chunks := float64((flowBytes + f.Config().ChunkBytes - 1) / f.Config().ChunkBytes)
-	perChunk := testing.AllocsPerRun(3, send) / chunks
-	if perChunk > 0.1 {
-		t.Errorf("steady-state fabric allocates %.3f allocs/chunk, want ~0 (pooled)", perChunk)
-	}
+	t.Run("chunk", func(t *testing.T) {
+		const flowBytes = int64(32 << 20)
+		k := sim.NewKernel()
+		f := simnet.New(k, sim.NewRNG(1), simnet.Config{})
+		f.AddHost("src")
+		f.AddHost("dst")
+		send := func() {
+			f.Send(simnet.FlowSpec{Src: 0, Dst: 1, SrcPort: 1, DstPort: 100, Bytes: flowBytes})
+			k.Run(nil)
+		}
+		send() // warm-up: grows the pools to the burst's working set
+		chunks := float64((flowBytes + f.Config().ChunkBytes - 1) / f.Config().ChunkBytes)
+		perChunk := testing.AllocsPerRun(3, send) / chunks
+		if perChunk > 0.1 {
+			t.Errorf("steady-state fabric allocates %.3f allocs/chunk, want ~0 (pooled)", perChunk)
+		}
+	})
+	// The Table I grid's shape: one PS host bursting a ResNet-32 update
+	// (8 chunks) to 21 workers, each flow Transient as the dl layer
+	// sends them. Per-flow chunk lists and per-burst scratch would cost
+	// at least one allocation per flow.
+	t.Run("burst", func(t *testing.T) {
+		const flows = 21
+		k := sim.NewKernel()
+		f := simnet.New(k, sim.NewRNG(1), simnet.Config{})
+		specs := make([]simnet.FlowSpec, flows)
+		f.AddHost("ps")
+		for i := range specs {
+			f.AddHost(fmt.Sprintf("w%d", i))
+			specs[i] = simnet.FlowSpec{
+				Src: 0, Dst: 1 + i, SrcPort: 5000, DstPort: 30000 + i,
+				Bytes: dl.ResNet32.UpdateBytes(), Transient: true,
+			}
+		}
+		burst := func() {
+			f.SendBurst(0, specs)
+			k.Run(nil)
+		}
+		burst() // warm-up
+		perFlow := testing.AllocsPerRun(20, burst) / flows
+		if perFlow > 0.1 {
+			t.Errorf("steady-state burst allocates %.3f allocs/flow, want ~0 (pooled)", perFlow)
+		}
+	})
 }
 
 // BenchmarkSweepSequential runs a 4-trial grid through the legacy
