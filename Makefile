@@ -108,3 +108,4 @@ fuzz:
 	$(GO) test ./internal/policy -run '^$$' -fuzz '^FuzzPolicyRank$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flownet -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/flownet -run '^$$' -fuzz '^FuzzEngineOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzKernelOrder$$' -fuzztime $(FUZZTIME)

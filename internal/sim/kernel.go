@@ -31,7 +31,7 @@ type Event struct {
 	arg      any
 	seq      uint64
 	priority int32
-	index    int32 // heap index; -1 when not queued
+	queued   bool
 	canceled bool
 	// pooled marks events scheduled through Post*: no handle was ever
 	// handed out, so the kernel may recycle the struct after it fires or
@@ -48,7 +48,7 @@ func (e *Event) At() Time { return e.at }
 func (e *Event) Canceled() bool { return e.canceled }
 
 // Pending reports whether the event is still queued and not canceled.
-func (e *Event) Pending() bool { return !e.canceled && e.index >= 0 }
+func (e *Event) Pending() bool { return !e.canceled && e.queued }
 
 // before is the queue ordering: (at, priority, seq) ascending.
 func (e *Event) before(o *Event) bool {
@@ -61,20 +61,33 @@ func (e *Event) before(o *Event) bool {
 	return e.seq < o.seq
 }
 
+// maxLanes is how many fixed-delay lanes a kernel keeps beside its heap.
+// The chunk fabric posts almost all of its events at three delays (full
+// and last chunk service, propagation), so a few lanes take most of them.
+const maxLanes = 4
+
 // Kernel is the discrete-event engine. The zero value is not usable; use
 // NewKernel. Kernels are single-threaded: one goroutine owns a kernel and
 // everything scheduled on it for the whole run.
+//
+// Queued events live in a binary heap plus up to maxLanes FIFO lanes.
+// A lane holds handle-less priority-0 events posted with one fixed delay
+// (PostAfter, PostArgAfter). The clock never runs backwards, so such
+// events arrive already in firing order, and each lane admits an event
+// only if it sorts at or after the lane's tail. Every queued event is
+// therefore in a sorted FIFO or in the heap, and the next event is the
+// earliest of the heap top and the lane heads: the (at, priority, seq)
+// order is exactly that of a heap-only queue.
 type Kernel struct {
 	now    Time
 	queue  eventHeap
+	lanes  [maxLanes]lane
 	seq    uint64
 	nFired uint64
 	// free recycles pooled (handle-less) events; see Post.
 	free []*Event
 	// allocs counts Event structs allocated (not served from the pool).
 	allocs uint64
-	// batch is Run's scratch for draining same-(at, priority) event runs.
-	batch []*Event
 	// Hard safety cap on events fired in one Run; prevents runaway
 	// simulations from spinning forever. Zero means no cap.
 	MaxEvents uint64
@@ -84,10 +97,6 @@ type Kernel struct {
 func NewKernel() *Kernel {
 	return &Kernel{}
 }
-
-// nilFunc stands in for fn while newEvent validates a PostArg event;
-// the caller replaces it with the fnA/arg pair.
-func nilFunc() {}
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
@@ -102,22 +111,29 @@ func (k *Kernel) EventAllocs() uint64 { return k.allocs }
 
 // Pending returns the number of events queued (including canceled events
 // not yet discarded).
-func (k *Kernel) Pending() int { return len(k.queue) }
+func (k *Kernel) Pending() int {
+	n := len(k.queue)
+	for i := range k.lanes {
+		n += k.lanes[i].n
+	}
+	return n
+}
 
 // Schedule queues fn to run at absolute time at with priority 0.
-// Scheduling in the past panics: it always indicates a model bug.
+// Scheduling in the past (or at NaN) panics: it always indicates a model
+// bug.
 func (k *Kernel) Schedule(at Time, fn func()) *Event {
-	return k.newEvent(at, 0, fn, false)
+	return k.push(k.newEvent(at, 0, fn, nil, nil, false))
 }
 
 // ScheduleAfter queues fn to run delay seconds from now.
 func (k *Kernel) ScheduleAfter(delay Time, fn func()) *Event {
-	return k.newEvent(k.now+delay, 0, fn, false)
+	return k.push(k.newEvent(k.now+delay, 0, fn, nil, nil, false))
 }
 
 // SchedulePrio queues fn at time at with an explicit tie-break priority.
 func (k *Kernel) SchedulePrio(at Time, priority int, fn func()) *Event {
-	return k.newEvent(at, priority, fn, false)
+	return k.push(k.newEvent(at, priority, fn, nil, nil, false))
 }
 
 // Post queues fn at absolute time at without returning a cancellation
@@ -126,17 +142,17 @@ func (k *Kernel) SchedulePrio(at Time, priority int, fn func()) *Event {
 // propagation, delivery) run allocation-free. Use Schedule when the
 // caller needs to Cancel or inspect the event later.
 func (k *Kernel) Post(at Time, fn func()) {
-	k.newEvent(at, 0, fn, true)
+	k.push(k.newEvent(at, 0, fn, nil, nil, true))
 }
 
 // PostAfter queues fn to run delay seconds from now, without a handle.
 func (k *Kernel) PostAfter(delay Time, fn func()) {
-	k.newEvent(k.now+delay, 0, fn, true)
+	k.pushAfter(delay, k.newEvent(k.now+delay, 0, fn, nil, nil, true))
 }
 
 // PostPrio queues fn at time at with a tie-break priority, no handle.
 func (k *Kernel) PostPrio(at Time, priority int, fn func()) {
-	k.newEvent(at, priority, fn, true)
+	k.push(k.newEvent(at, priority, fn, nil, nil, true))
 }
 
 // PostArg queues fn(arg) at absolute time at, without a handle. The
@@ -144,25 +160,21 @@ func (k *Kernel) PostPrio(at Time, priority int, fn func()) {
 // otherwise close over one pointer per event (the per-chunk hot paths)
 // schedule with zero allocations by reusing a long-lived fn.
 func (k *Kernel) PostArg(at Time, fn func(any), arg any) {
-	if fn == nil {
-		panic("sim: schedule nil func")
-	}
-	e := k.newEvent(at, 0, nilFunc, true)
-	e.fn = nil
-	e.fnA = fn
-	e.arg = arg
+	k.push(k.newEvent(at, 0, nil, fn, arg, true))
 }
 
 // PostArgAfter queues fn(arg) delay seconds from now, without a handle.
 func (k *Kernel) PostArgAfter(delay Time, fn func(any), arg any) {
-	k.PostArg(k.now+delay, fn, arg)
+	k.pushAfter(delay, k.newEvent(k.now+delay, 0, nil, fn, arg, true))
 }
 
-func (k *Kernel) newEvent(at Time, priority int, fn func(), pooled bool) *Event {
-	if at < k.now {
+// newEvent validates and stamps an event; exactly one of fn and fnA is
+// set by the caller. The caller queues it with push or pushAfter.
+func (k *Kernel) newEvent(at Time, priority int, fn func(), fnA func(any), arg any, pooled bool) *Event {
+	if !(at >= k.now) { // also rejects NaN, which compares false
 		panic(fmt.Sprintf("sim: schedule at %.9f before now %.9f", at, k.now))
 	}
-	if fn == nil {
+	if fn == nil && fnA == nil {
 		panic("sim: schedule nil func")
 	}
 	k.seq++
@@ -177,13 +189,42 @@ func (k *Kernel) newEvent(at Time, priority int, fn func(), pooled bool) *Event 
 	}
 	e.at = at
 	e.fn = fn
+	e.fnA = fnA
+	e.arg = arg
 	e.seq = k.seq
 	e.priority = int32(priority)
-	e.index = -1
 	e.canceled = false
 	e.pooled = pooled
+	return e
+}
+
+// push queues e on the heap.
+func (k *Kernel) push(e *Event) *Event {
 	k.queue.push(e)
 	return e
+}
+
+// pushAfter queues a handle-less priority-0 event posted delay seconds
+// from now: on the lane keyed by delay if e sorts at or after its tail,
+// else on an empty lane re-keyed to delay, else on the heap.
+func (k *Kernel) pushAfter(delay Time, e *Event) {
+	var empty *lane
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if l.delay == delay && (l.n == 0 || l.tail().at <= e.at) {
+			l.push(e)
+			return
+		}
+		if l.n == 0 && empty == nil {
+			empty = l
+		}
+	}
+	if empty == nil {
+		k.queue.push(e)
+		return
+	}
+	empty.delay = delay
+	empty.push(e)
 }
 
 // recycle returns a pooled event to the free list once no reference to
@@ -237,7 +278,7 @@ func (t Ticket) Active() bool {
 // the event struct recycles through the pool, and the stale ticket left
 // behind after it fires is harmless.
 func (k *Kernel) PostTicket(at Time, fn func()) Ticket {
-	e := k.newEvent(at, 0, fn, true)
+	e := k.push(k.newEvent(at, 0, fn, nil, nil, true))
 	return Ticket{ev: e, seq: e.seq}
 }
 
@@ -250,130 +291,136 @@ func (k *Kernel) CancelTicket(t Ticket) {
 	}
 }
 
+// next returns the earliest queued event and the lane holding it (nil
+// for the heap), discarding canceled events at the heap top; nil when
+// nothing is queued. Lane events have no handle, so none is canceled.
+// The event is left queued for fire.
+func (k *Kernel) next() (*Event, *lane) {
+	var e *Event
+	for len(k.queue) > 0 {
+		if e = k.queue[0]; !e.canceled {
+			break
+		}
+		k.recycle(k.queue.pop())
+		e = nil
+	}
+	var src *lane
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		if l.n > 0 {
+			if h := l.ring[l.head]; e == nil || h.before(e) {
+				e, src = h, l
+			}
+		}
+	}
+	if e != nil && e.at < k.now {
+		panic("sim: event queue time went backwards")
+	}
+	return e, src
+}
+
+// fire dequeues e, which next returned with src, advances the clock to
+// it and runs its callback.
+func (k *Kernel) fire(e *Event, src *lane) {
+	if src == nil {
+		k.queue.pop()
+	} else {
+		src.pop()
+	}
+	k.now = e.at
+	k.nFired++
+	fn, fnA, arg := e.fn, e.fnA, e.arg
+	// Recycle before calling: the callback may schedule new events,
+	// which can then reuse this struct — safe, as no handle exists.
+	k.recycle(e)
+	if fnA != nil {
+		fnA(arg)
+	} else {
+		fn()
+	}
+}
+
 // Step fires the next pending event. It returns false when the queue is
 // empty (after discarding canceled events).
 func (k *Kernel) Step() bool {
-	for len(k.queue) > 0 {
-		e := k.queue.pop()
-		if e.canceled {
-			k.recycle(e)
-			continue
-		}
-		if e.at < k.now {
-			panic("sim: event queue time went backwards")
-		}
-		k.now = e.at
-		k.nFired++
-		fn, fnA, arg := e.fn, e.fnA, e.arg
-		// Recycle before calling: the callback may schedule new events,
-		// which can then reuse this struct — safe, as no handle exists.
-		k.recycle(e)
-		if fnA != nil {
-			fnA(arg)
-		} else {
-			fn()
-		}
-		return true
+	e, src := k.next()
+	if e == nil {
+		return false
 	}
-	return false
+	k.fire(e, src)
+	return true
 }
 
-// Run fires events until the queue drains or until stop returns true
-// (checked before each event). It returns the number of events fired.
-//
-// Run batch-drains the heap: all head events sharing the same
-// (time, priority) are popped in one pass and dispatched without
-// re-entering the heap per event, which skips one sift-down per
-// simultaneous event — the common case in barrier-heavy workloads
-// (window kicks, collective steps). Firing order is identical to the
-// one-Step-at-a-time loop: batch members fire in seq order, and if a
-// callback schedules an event that sorts before the rest of the batch,
-// the tail is pushed back so the new event takes its proper turn.
+// Run fires events in the order Step would until the queue drains or
+// until stop returns true, and returns the number of events fired. stop
+// is checked before each event, with the clock already moved to that
+// event's time; so once stop returns true, Now() is the time of the
+// first unfired event, which stays queued and fires first on resume.
+// stop must not schedule events.
 func (k *Kernel) Run(stop func() bool) uint64 {
 	start := k.nFired
-	batch := k.batch[:0]
-	defer func() {
-		for i := range batch[:cap(batch)] {
-			batch[:cap(batch)][i] = nil
-		}
-		k.batch = batch[:0]
-	}()
 	for {
-		// Collect the run of head events sharing (at, priority).
-		batch = batch[:0]
-		for len(k.queue) > 0 {
-			e := k.queue[0]
-			if e.canceled {
-				k.recycle(k.queue.pop())
-				continue
-			}
-			if len(batch) > 0 && (e.at != batch[0].at || e.priority != batch[0].priority) {
-				break
-			}
-			batch = append(batch, k.queue.pop())
-		}
-		if len(batch) == 0 {
+		e, src := k.next()
+		if e == nil {
 			return k.nFired - start
 		}
-		if batch[0].at < k.now {
-			panic("sim: event queue time went backwards")
+		k.now = e.at
+		if stop != nil && stop() {
+			return k.nFired - start
 		}
-		k.now = batch[0].at
-		for i := 0; i < len(batch); i++ {
-			e := batch[i]
-			if e.canceled { // canceled by an earlier batch member
-				k.recycle(e)
-				continue
-			}
-			if stop != nil && stop() {
-				// Re-queue the unfired tail (including e) so the caller
-				// can resume; push preserves seq, so order is unchanged.
-				for _, r := range batch[i:] {
-					k.queue.push(r)
-				}
-				return k.nFired - start
-			}
-			if k.MaxEvents > 0 && k.nFired-start >= k.MaxEvents {
-				panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", k.MaxEvents))
-			}
-			k.nFired++
-			fn, fnA, arg := e.fn, e.fnA, e.arg
-			k.recycle(e)
-			if fnA != nil {
-				fnA(arg)
-			} else {
-				fn()
-			}
-			// The callback may have scheduled an event that sorts before
-			// the rest of the batch; re-queue the tail so it fires in its
-			// proper place.
-			if i+1 < len(batch) && len(k.queue) > 0 && k.queue[0].before(batch[i+1]) {
-				for _, r := range batch[i+1:] {
-					k.queue.push(r)
-				}
-				break
-			}
+		if k.MaxEvents > 0 && k.nFired-start >= k.MaxEvents {
+			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d (runaway simulation?)", k.MaxEvents))
 		}
+		k.fire(e, src)
 	}
 }
 
 // RunUntil fires events with timestamps <= deadline, leaving later events
 // queued and advancing the clock to deadline if it passed it.
 func (k *Kernel) RunUntil(deadline Time) {
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			k.recycle(k.queue.pop())
-			continue
-		}
-		if e.at > deadline {
+	for {
+		e, src := k.next()
+		if e == nil || e.at > deadline {
 			break
 		}
-		k.Step()
+		k.fire(e, src)
 	}
 	if k.now < deadline {
 		k.now = deadline
 	}
+}
+
+// lane is a FIFO ring of queued events that were posted with one fixed
+// delay, in firing order by construction (see Kernel). Lane events are
+// pooled and handle-less, so nothing reads their queued flag, and a
+// popped slot may keep its stale pointer: the kernel's free list holds
+// the struct anyway.
+type lane struct {
+	delay Time
+	ring  []*Event // empty or a power-of-two length
+	head  int
+	n     int
+}
+
+func (l *lane) tail() *Event {
+	return l.ring[(l.head+l.n-1)&(len(l.ring)-1)]
+}
+
+func (l *lane) push(e *Event) {
+	if l.n == len(l.ring) {
+		ring := make([]*Event, max(16, 2*len(l.ring)))
+		for i := 0; i < l.n; i++ {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+}
+
+func (l *lane) pop() {
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
 }
 
 // eventHeap is a min-heap on (at, priority, seq). The heap is hand-rolled
@@ -385,16 +432,14 @@ type eventHeap []*Event
 func (h *eventHeap) push(e *Event) {
 	q := append(*h, e)
 	*h = q
+	e.queued = true
 	i := len(q) - 1
-	e.index = int32(i)
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !q[i].before(q[parent]) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
-		q[i].index = int32(i)
-		q[parent].index = int32(parent)
 		i = parent
 	}
 }
@@ -404,14 +449,13 @@ func (h *eventHeap) pop() *Event {
 	n := len(q) - 1
 	top := q[0]
 	q[0] = q[n]
-	q[0].index = 0
 	q[n] = nil
 	q = q[:n]
 	*h = q
 	if n > 1 {
 		h.down(0)
 	}
-	top.index = -1
+	top.queued = false
 	return top
 }
 
@@ -431,8 +475,6 @@ func (h *eventHeap) down(i int) {
 			break
 		}
 		q[i], q[small] = q[small], q[i]
-		q[i].index = int32(i)
-		q[small].index = int32(small)
 		i = small
 	}
 }

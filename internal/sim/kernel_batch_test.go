@@ -7,10 +7,14 @@ import (
 
 // buildTieHeavyWorkload schedules a random workload with many exact
 // (at, priority) ties onto k. Each event appends its model ID to *out;
-// some events chain follow-ups, including same-time ones, to exercise
-// mid-batch interference.
+// some events chain follow-ups, including same-time ones at any
+// priority, and cancel earlier tickets and handles. Priority-0 events
+// are often posted through the lanes (PostAfter, PostArgAfter) at more
+// distinct delays than there are lanes, zero included.
 func buildTieHeavyWorkload(k *Kernel, rng *rand.Rand, out *[]int) {
 	next := 0
+	var tickets []Ticket
+	var handles []*Event
 	var add func(at float64, prio int, depth int)
 	add = func(at float64, prio int, depth int) {
 		id := next
@@ -19,17 +23,30 @@ func buildTieHeavyWorkload(k *Kernel, rng *rand.Rand, out *[]int) {
 			*out = append(*out, id)
 			if depth > 0 && rng.Intn(3) == 0 {
 				// Same-time follow-up at a random priority: may sort
-				// before the rest of the current batch.
+				// before events already queued at this time.
 				add(k.Now(), rng.Intn(5)-2, depth-1)
 			}
 			if depth > 0 && rng.Intn(3) == 0 {
 				add(k.Now()+float64(rng.Intn(3))*0.5, rng.Intn(3), depth-1)
 			}
+			if n := len(tickets); n > 0 && rng.Intn(4) == 0 {
+				k.CancelTicket(tickets[rng.Intn(n)])
+			}
+			if n := len(handles); n > 0 && rng.Intn(4) == 0 {
+				k.Cancel(handles[rng.Intn(n)])
+			}
 		}
-		if rng.Intn(2) == 0 {
+		switch r := rng.Intn(6); {
+		case prio == 0 && r == 0:
+			k.PostAfter(at-k.Now(), fn)
+		case prio == 0 && r == 1:
+			k.PostArgAfter(at-k.Now(), func(any) { fn() }, nil)
+		case prio == 0 && r == 2:
+			tickets = append(tickets, k.PostTicket(at, fn))
+		case r < 4:
 			k.PostPrio(at, prio, fn)
-		} else {
-			k.SchedulePrio(at, prio, fn)
+		default:
+			handles = append(handles, k.SchedulePrio(at, prio, fn))
 		}
 	}
 	for i := 0; i < 150; i++ {
@@ -38,17 +55,12 @@ func buildTieHeavyWorkload(k *Kernel, rng *rand.Rand, out *[]int) {
 	}
 }
 
-// TestRunMatchesStepLoop pins the batch-drain contract: Run fires the
-// exact same event sequence as the one-Step-at-a-time loop, including
-// under same-time follow-ups scheduled mid-batch.
+// TestRunMatchesStepLoop pins Run and RunUntil to the one-Step-at-a-time
+// loop: all three fire the exact same event sequence, including under
+// same-time follow-ups, cancellations and lane posts.
 func TestRunMatchesStepLoop(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		seed := int64(4000 + trial)
-
-		var batched []int
-		kb := NewKernel()
-		buildTieHeavyWorkload(kb, rand.New(rand.NewSource(seed)), &batched)
-		kb.Run(nil)
 
 		var stepped []int
 		ks := NewKernel()
@@ -56,24 +68,45 @@ func TestRunMatchesStepLoop(t *testing.T) {
 		for ks.Step() {
 		}
 
-		if len(batched) != len(stepped) {
-			t.Fatalf("trial %d: Run fired %d events, Step loop %d", trial, len(batched), len(stepped))
+		var ran []int
+		kr := NewKernel()
+		buildTieHeavyWorkload(kr, rand.New(rand.NewSource(seed)), &ran)
+		kr.Run(nil)
+
+		var until []int
+		ku := NewKernel()
+		buildTieHeavyWorkload(ku, rand.New(rand.NewSource(seed)), &until)
+		for deadline := 0.0; ku.Pending() > 0; deadline += 0.5 {
+			ku.RunUntil(deadline)
 		}
-		for i := range batched {
-			if batched[i] != stepped[i] {
-				t.Fatalf("trial %d: order diverges at %d: Run=%v Step=%v", trial, i, batched[i], stepped[i])
+
+		for _, c := range []struct {
+			name  string
+			k     *Kernel
+			fired []int
+		}{{"Run", kr, ran}, {"RunUntil", ku, until}} {
+			if len(c.fired) != len(stepped) {
+				t.Fatalf("trial %d: %s fired %d events, Step loop %d", trial, c.name, len(c.fired), len(stepped))
+			}
+			for i := range c.fired {
+				if c.fired[i] != stepped[i] {
+					t.Fatalf("trial %d: order diverges at %d: %s=%v Step=%v", trial, i, c.name, c.fired[i], stepped[i])
+				}
+			}
+			if c.k.Fired() != ks.Fired() || c.k.Pending() != 0 {
+				t.Fatalf("trial %d: %s Fired/Pending %d/%d, Step loop %d/0",
+					trial, c.name, c.k.Fired(), c.k.Pending(), ks.Fired())
 			}
 		}
-		if kb.Fired() != ks.Fired() || kb.Now() != ks.Now() {
-			t.Fatalf("trial %d: Fired/Now mismatch: %d@%g vs %d@%g",
-				trial, kb.Fired(), kb.Now(), ks.Fired(), ks.Now())
+		if kr.Now() != ks.Now() {
+			t.Fatalf("trial %d: Run clock %g, Step loop %g", trial, kr.Now(), ks.Now())
 		}
 	}
 }
 
 // TestRunStopMidBatchResumes stops Run in the middle of a same-(at,prio)
-// batch and checks the unfired tail is re-queued so a later Run resumes
-// with identical total order.
+// run of events and checks a later Run resumes with identical total
+// order.
 func TestRunStopMidBatchResumes(t *testing.T) {
 	k := NewKernel()
 	var fired []int
@@ -101,8 +134,8 @@ func TestRunStopMidBatchResumes(t *testing.T) {
 	}
 }
 
-// TestRunCancelWithinBatch has an early batch member cancel a later one
-// after both were drained from the heap in the same pass.
+// TestRunCancelWithinBatch has an event cancel a later one queued at
+// the same time.
 func TestRunCancelWithinBatch(t *testing.T) {
 	k := NewKernel()
 	var fired []string

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -226,5 +228,69 @@ func TestKernelCancelInterleaved(t *testing.T) {
 	k.Run(nil)
 	if fired != 1000-canceled {
 		t.Fatalf("fired %d, want %d", fired, 1000-canceled)
+	}
+}
+
+// TestKernelRejectsNaNTime checks every Post and Schedule form panics on
+// a NaN time or delay, which compares false against the clock and would
+// otherwise be queued and break the queue's order.
+func TestKernelRejectsNaNTime(t *testing.T) {
+	nan := math.NaN()
+	fn := func() {}
+	fnA := func(any) {}
+	for _, c := range []struct {
+		name string
+		post func(k *Kernel)
+	}{
+		{"Schedule", func(k *Kernel) { k.Schedule(nan, fn) }},
+		{"ScheduleAfter", func(k *Kernel) { k.ScheduleAfter(nan, fn) }},
+		{"SchedulePrio", func(k *Kernel) { k.SchedulePrio(nan, 1, fn) }},
+		{"Post", func(k *Kernel) { k.Post(nan, fn) }},
+		{"PostAfter", func(k *Kernel) { k.PostAfter(nan, fn) }},
+		{"PostPrio", func(k *Kernel) { k.PostPrio(nan, 1, fn) }},
+		{"PostArg", func(k *Kernel) { k.PostArg(nan, fnA, nil) }},
+		{"PostArgAfter", func(k *Kernel) { k.PostArgAfter(nan, fnA, nil) }},
+		{"PostTicket", func(k *Kernel) { k.PostTicket(nan, fn) }},
+	} {
+		k := NewKernel()
+		k.Post(1, fn)
+		k.PostAfter(2, fn)
+		k.Step()
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "schedule at NaN before now") {
+					t.Errorf("%s(NaN): panic %q, want a schedule-before-now panic", c.name, msg)
+				}
+			}()
+			c.post(k)
+		}()
+		if k.Pending() != 1 {
+			t.Errorf("%s(NaN): %d events pending, want the 1 queued before", c.name, k.Pending())
+		}
+	}
+}
+
+// TestKernelRunStopClock pins the clock Run leaves behind when stop ends
+// it: stop runs with the clock already at the next event, so afterwards
+// Now() is the first unfired event's time (canceled events skipped), and
+// resuming fires that event first. Run results read this clock.
+func TestKernelRunStopClock(t *testing.T) {
+	k := NewKernel()
+	var fired []string
+	k.Post(1, func() { fired = append(fired, "a") })
+	k.Cancel(k.Schedule(1.5, func() { fired = append(fired, "canceled") }))
+	k.PostAfter(2, func() { fired = append(fired, "b") })
+	k.Post(3, func() { fired = append(fired, "c") })
+	k.Run(func() bool { return len(fired) == 1 })
+	if len(fired) != 1 || k.Now() != 2 {
+		t.Fatalf("stopped after %v with the clock at %v, want [a] at 2", fired, k.Now())
+	}
+	if !k.Step() || fired[1] != "b" || k.Now() != 2 {
+		t.Fatalf("resume fired %v with the clock at %v, want b at 2", fired, k.Now())
+	}
+	k.Run(func() bool { return true })
+	if len(fired) != 2 || k.Now() != 3 {
+		t.Fatalf("stop before c: fired %v with the clock at %v, want [a b] at 3", fired, k.Now())
 	}
 }
