@@ -78,12 +78,12 @@ flow-equiv:
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# layer-bench-smoke runs every qdisc and flownet microbenchmark once,
-# so the layer benchmarks keep compiling and running, then the kernel's
-# benchmarks and the trial and chunk-fabric benchmarks once each with
-# -benchmem, so the allocation counts they report keep running too.
+# layer-bench-smoke runs every qdisc and flownet microbenchmark, the
+# kernel's benchmarks and the trial and chunk-fabric benchmarks once
+# each with -benchmem, so the layer benchmarks keep compiling and
+# running and the allocation counts they report stay in view.
 layer-bench-smoke:
-	$(GO) test ./internal/qdisc ./internal/flownet -run '^$$' -bench . -benchtime 1x
+	$(GO) test ./internal/qdisc ./internal/flownet -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/sim -run '^$$' -bench . -benchtime 1x -benchmem
 	$(GO) test ./internal/sweep -run '^$$' -bench 'BenchmarkTrial$$|BenchmarkFabricChunk' -benchtime 1x -benchmem
 

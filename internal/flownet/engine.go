@@ -25,10 +25,13 @@ const completionEps = 1.0 / 16
 
 // flowState is the engine's record of one active flow. Its remaining
 // demand and current rate live in the engine's dense rem and rate
-// arrays at index pos, so the per-flow scans read contiguous floats.
+// arrays at index pos, so the advance reads contiguous floats.
 type flowState struct {
 	id       FlowID
-	pos      int // index in Engine.order, rem and rate
+	pos      int    // index in Engine.order, rem and rate
+	gen      uint32 // bumped when the flow retires; stale Handles mismatch
+	cls      *rateClass
+	ci       int // index in cls.members
 	links    []int
 	bandLink int
 	band     int
@@ -40,6 +43,35 @@ type flowState struct {
 	// in linkFlows[attLinks[i]], for O(1) detach.
 	attLinks []int
 	attPos   []int
+}
+
+// Handle names one active flow: AddFlow returns it, and UpdateFlow,
+// RemoveFlow, Remaining and Rate take it. A handle goes stale when its
+// flow completes or is removed; methods then report the flow unknown.
+// The zero Handle names no flow.
+type Handle struct {
+	fs  *flowState
+	gen uint32
+}
+
+// rateClass groups the active flows whose rates have identical bits.
+// Every advance takes the same r·dt off each member and clamps at zero,
+// and IEEE rounding is monotone, so the order of the members' remaining
+// demands never changes while they share the class. The member with
+// the smallest rem therefore stays the one with the earliest projected
+// finish, lastT + rem/r, and the class needs no per-advance upkeep.
+type rateClass struct {
+	bits    uint64 // math.Float64bits of every member's rate
+	members []*flowState
+	min     *flowState // smallest rem among members; nil when stale
+	idx     int        // index in Engine.classes
+
+	// resolve scratch: in the resolve stamped stamp, seen members of
+	// the class were re-rated, all to bits next when uniform.
+	stamp   uint64
+	seen    int
+	next    uint64
+	uniform bool
 }
 
 // Engine advances fluid flows on a discrete-event kernel. It keeps the
@@ -73,12 +105,22 @@ type flowState struct {
 //     link->flows index. Flows in unrelated components keep their rates:
 //     max-min allocations are independent across link-disjoint sets.
 //
+// Active flows are grouped into rate classes by the bits of their rate
+// (see rateClass). The next completion time is the minimum over the
+// classes' smallest-demand members, and a completion event sweeps only
+// the classes whose smallest member has drained, so neither visits
+// every active flow. Rate-0 flows sit in classes too: the completion
+// sweep checks them and the scheduler skips them. A re-solve usually
+// moves a whole class to one new rate, which relabels the class in
+// place; only flows that split from their class move one by one.
+//
 // The engine is deterministic: flows advance and complete in insertion
 // order, and each component's solver input is in insertion order too,
-// so equal-seed runs produce identical event sequences. order is kept
-// in insertion order (removals splice, completions compact), so a
-// flow's position in it is its insertion rank: the BFS marks members in
-// a position bitset and reads the component off it in order, with no
+// so equal-seed runs produce identical event sequences. A departing
+// flow leaves a tombstone in order, and an order-preserving compaction
+// clears them once they pass an eighth of it, so a flow's position
+// in order always ranks it by insertion: the BFS marks members in a
+// position bitset and reads the component off it in order, with no
 // sort.
 type Engine struct {
 	k      *sim.Kernel
@@ -103,14 +145,22 @@ type Engine struct {
 	dirtyLinks []int
 	visitMark  []bool // BFS scratch, always false between resolves
 
-	// order holds the active flows in insertion order; rem (payload
-	// bytes still to serve) and rate (current allocation, bytes/sec)
-	// run parallel to it.
-	flows  map[FlowID]*flowState
-	order  []*flowState
-	rem    []float64
-	rate   []float64
-	free   []*flowState // retired flowStates for reuse
+	// order holds the active flows in insertion order, with nil
+	// tombstones (dead of them) where flows left; rem (payload bytes
+	// still to serve) and rate (current allocation, bytes/sec) run
+	// parallel to it, both 0 at a tombstone.
+	order []*flowState
+	rem   []float64
+	rate  []float64
+	dead  int
+	free  []*flowState // retired flowStates for reuse
+
+	// classes holds the non-empty rate classes in no fixed order, and
+	// classPool the emptied ones for reuse.
+	classes   []*rateClass
+	classPool []*rateClass
+	touched   []*rateClass // resolve scratch
+
 	lastT  float64
 	next   sim.Ticket // armed completion event (zero when none)
 	nextAt float64
@@ -141,7 +191,6 @@ func NewEngine(k *sim.Kernel, onDone func(id FlowID, tag any)) *Engine {
 	e := &Engine{
 		k:      k,
 		onDone: onDone,
-		flows:  make(map[FlowID]*flowState),
 	}
 	e.flushFn = e.flush
 	e.completionsFn = e.completions
@@ -230,7 +279,7 @@ func (e *Engine) ForEachOnLink(l int, fn func(id FlowID, tag any, remaining floa
 }
 
 // ActiveFlows returns the number of in-flight flows.
-func (e *Engine) ActiveFlows() int { return len(e.order) }
+func (e *Engine) ActiveFlows() int { return len(e.order) - e.dead }
 
 // Resolves returns how many times the allocation was recomputed.
 func (e *Engine) Resolves() uint64 { return e.resolves }
@@ -361,19 +410,17 @@ func (e *Engine) markFlowDirty(fs *flowState) {
 }
 
 // AddFlow starts a flow of the given demand (payload bytes) across the
-// listed links. bandLink/band place it in the strict-priority order at
-// its source egress (bandLink < 0 disables gating); weight scales its
-// fair share. tag is returned to onDone untouched. links is copied, so
-// callers may reuse the slice.
-func (e *Engine) AddFlow(id FlowID, links []int, bandLink, band int, weight, bytes float64, tag any) {
+// listed links and returns its handle. id is the caller's label, passed
+// back to onDone and ForEach. bandLink/band place the flow in the
+// strict-priority order at its source egress (bandLink < 0 disables
+// gating); weight scales its fair share. tag is returned to onDone
+// untouched. links is copied, so callers may reuse the slice.
+func (e *Engine) AddFlow(id FlowID, links []int, bandLink, band int, weight, bytes float64, tag any) Handle {
 	if bytes <= 0 {
 		panic(fmt.Sprintf("flownet: flow %d demand %g must be positive", id, bytes))
 	}
 	if len(links) == 0 {
 		panic(fmt.Sprintf("flownet: flow %d needs at least one link", id))
-	}
-	if _, ok := e.flows[id]; ok {
-		panic(fmt.Sprintf("flownet: flow %d already active", id))
 	}
 	e.Sync()
 	var fs *flowState
@@ -391,36 +438,156 @@ func (e *Engine) AddFlow(id FlowID, links []int, bandLink, band int, weight, byt
 	fs.band = band
 	fs.weight = weight
 	fs.tag = tag
-	e.flows[id] = fs
 	e.order = append(e.order, fs)
 	e.rem = append(e.rem, bytes)
 	e.rate = append(e.rate, 0)
+	e.join(fs, e.classFor(0))
 	e.attach(fs)
 	e.markFlowDirty(fs)
 	e.markDirty()
+	return Handle{fs: fs, gen: fs.gen}
 }
 
-// release returns a detached, unlinked flowState to the free list.
+// lookup returns the flow a handle names, or nil when it is stale.
+func (e *Engine) lookup(h Handle) *flowState {
+	if h.fs == nil || h.fs.gen != h.gen {
+		return nil
+	}
+	return h.fs
+}
+
+// retire takes a detached flow out of its class and leaves a tombstone
+// at its position. Handles to it go stale at once.
+func (e *Engine) retire(fs *flowState) {
+	if fs.cls != nil {
+		e.leave(fs)
+	}
+	fs.gen++
+	e.order[fs.pos] = nil
+	e.rem[fs.pos], e.rate[fs.pos] = 0, 0
+	e.dead++
+}
+
+// compact drops the tombstones from order once they pass an eighth of
+// it, keeping the live flows in insertion order. Every advance walks
+// the tombstones too, so they are kept few; a compaction moves each
+// live flow once, and takes at least len(order)/8 departures to come
+// due again.
+func (e *Engine) compact() {
+	if 8*e.dead <= len(e.order) {
+		return
+	}
+	kept := 0
+	for i, fs := range e.order {
+		if fs == nil {
+			continue
+		}
+		e.order[kept], e.rem[kept], e.rate[kept] = fs, e.rem[i], e.rate[i]
+		fs.pos = kept
+		kept++
+	}
+	clear(e.order[kept:])
+	e.order, e.rem, e.rate = e.order[:kept], e.rem[:kept], e.rate[:kept]
+	e.dead = 0
+}
+
+// release returns a retired, detached flowState to the free list.
 func (e *Engine) release(fs *flowState) {
 	fs.tag = nil
 	e.free = append(e.free, fs)
 }
 
+// classFor returns the class holding rate bits b, reusing a pooled
+// class when none does. Classes are few (about a hundred on the
+// 10,240-host scenario), so a scan costs less than keeping a map.
+func (e *Engine) classFor(b uint64) *rateClass {
+	for _, c := range e.classes {
+		if c.bits == b {
+			return c
+		}
+	}
+	var c *rateClass
+	if n := len(e.classPool); n > 0 {
+		c = e.classPool[n-1]
+		e.classPool = e.classPool[:n-1]
+	} else {
+		c = &rateClass{}
+	}
+	c.bits, c.min = b, nil
+	c.idx = len(e.classes)
+	e.classes = append(e.classes, c)
+	return c
+}
+
+// join adds fs to class c, keeping c's smallest-rem member current.
+func (e *Engine) join(fs *flowState, c *rateClass) {
+	fs.cls, fs.ci = c, len(c.members)
+	c.members = append(c.members, fs)
+	switch {
+	case len(c.members) == 1:
+		c.min = fs
+	case c.min != nil && e.rem[fs.pos] < e.rem[c.min.pos]:
+		c.min = fs
+	}
+}
+
+// leave takes fs out of its class, pooling the class once it empties.
+func (e *Engine) leave(fs *flowState) {
+	c := fs.cls
+	fs.cls = nil
+	last := len(c.members) - 1
+	moved := c.members[last]
+	c.members[fs.ci], moved.ci = moved, fs.ci
+	c.members[last] = nil
+	c.members = c.members[:last]
+	if c.min == fs {
+		c.min = nil
+	}
+	if last == 0 {
+		e.dropClass(c)
+	}
+}
+
+// dropClass returns an empty class to the pool.
+func (e *Engine) dropClass(c *rateClass) {
+	last := len(e.classes) - 1
+	moved := e.classes[last]
+	e.classes[c.idx], moved.idx = moved, c.idx
+	e.classes[last] = nil
+	e.classes = e.classes[:last]
+	e.classPool = append(e.classPool, c)
+}
+
+// classMin returns c's smallest-rem member, rescanning the class when a
+// departure left it stale.
+func (e *Engine) classMin(c *rateClass) *flowState {
+	if c.min == nil {
+		m := c.members[0]
+		for _, fs := range c.members[1:] {
+			if e.rem[fs.pos] < e.rem[m.pos] {
+				m = fs
+			}
+		}
+		c.min = m
+	}
+	return c.min
+}
+
 // UpdateFlow reroutes/rebands an active flow in place (tc reconfigured
 // the source host), preserving its remaining demand and its position in
-// the deterministic completion order. Returns false for unknown IDs.
+// the deterministic completion order. Returns false for a stale handle.
 // A no-op resolve is skipped when nothing changed. links is copied, so
 // callers may reuse the slice.
-func (e *Engine) UpdateFlow(id FlowID, links []int, bandLink, band int, weight float64) bool {
-	fs, ok := e.flows[id]
-	if !ok {
+func (e *Engine) UpdateFlow(h Handle, links []int, bandLink, band int, weight float64) bool {
+	fs := e.lookup(h)
+	if fs == nil {
 		return false
 	}
 	if fs.bandLink == bandLink && fs.band == band && fs.weight == weight && slices.Equal(fs.links, links) {
 		return true
 	}
 	if len(links) == 0 {
-		panic(fmt.Sprintf("flownet: flow %d needs at least one link", id))
+		panic(fmt.Sprintf("flownet: flow %d needs at least one link", fs.id))
 	}
 	e.Sync()
 	e.markFlowDirty(fs) // old coupling
@@ -436,43 +603,35 @@ func (e *Engine) UpdateFlow(id FlowID, links []int, bandLink, band int, weight f
 }
 
 // RemoveFlow cancels an active flow without completing it (no onDone).
-// Returns false for unknown IDs.
-func (e *Engine) RemoveFlow(id FlowID) bool {
-	fs, ok := e.flows[id]
-	if !ok {
+// Returns false for a stale handle.
+func (e *Engine) RemoveFlow(h Handle) bool {
+	fs := e.lookup(h)
+	if fs == nil {
 		return false
 	}
 	e.Sync()
 	e.markFlowDirty(fs)
 	e.detach(fs)
-	delete(e.flows, id)
-	i, n := fs.pos, len(e.order)-1
-	copy(e.order[i:], e.order[i+1:])
-	copy(e.rem[i:], e.rem[i+1:])
-	copy(e.rate[i:], e.rate[i+1:])
-	e.order[n] = nil
-	e.order, e.rem, e.rate = e.order[:n], e.rem[:n], e.rate[:n]
-	for j := i; j < n; j++ {
-		e.order[j].pos = j
-	}
+	e.retire(fs)
+	e.compact()
 	e.release(fs)
 	e.markDirty()
 	return true
 }
 
 // Remaining returns a flow's outstanding demand in bytes.
-func (e *Engine) Remaining(id FlowID) (float64, bool) {
-	fs, ok := e.flows[id]
-	if !ok {
+func (e *Engine) Remaining(h Handle) (float64, bool) {
+	fs := e.lookup(h)
+	if fs == nil {
 		return 0, false
 	}
 	return e.rem[fs.pos], true
 }
 
 // Rate returns a flow's current allocation in bytes/sec.
-func (e *Engine) Rate(id FlowID) (float64, bool) {
-	fs, ok := e.flows[id]
-	if !ok {
+func (e *Engine) Rate(h Handle) (float64, bool) {
+	fs := e.lookup(h)
+	if fs == nil {
 		return 0, false
 	}
 	e.ensureResolved()
@@ -483,7 +642,9 @@ func (e *Engine) Rate(id FlowID) (float64, bool) {
 // UpdateFlow (in-place mutation) but must not add or remove flows.
 func (e *Engine) ForEach(fn func(id FlowID, tag any)) {
 	for _, fs := range e.order {
-		fn(fs.id, fs.tag)
+		if fs != nil {
+			fn(fs.id, fs.tag)
+		}
 	}
 }
 
@@ -491,14 +652,15 @@ func (e *Engine) ForEach(fn func(id FlowID, tag any)) {
 // event (or to the first rate read, whichever comes first). The flush
 // runs before the kernel advances past the current instant, so stale
 // rates are never integrated over a nonzero interval. The event is
-// pooled (Post, no handle): if a rate read resolves eagerly first, the
-// flush fires as a cheap no-op.
+// pooled (PostAfter, no handle) and takes the kernel's zero-delay lane:
+// if a rate read resolves eagerly first, the flush fires as a cheap
+// no-op.
 func (e *Engine) markDirty() {
 	if e.dirty {
 		return
 	}
 	e.dirty = true
-	e.k.Post(e.k.Now(), e.flushFn)
+	e.k.PostAfter(0, e.flushFn)
 }
 
 func (e *Engine) flush() {
@@ -590,9 +752,7 @@ func (e *Engine) resolve() {
 			})
 		}
 		e.srates = e.solver.Solve(e.caps, e.sflows, e.srates[:0])
-		for i, fs := range cf {
-			e.rate[fs.pos] = e.srates[i]
-		}
+		e.rerate(cf)
 	}
 	// Refresh the component's link aggregates; untouched links keep
 	// their rates (their flows were not in the component).
@@ -612,20 +772,107 @@ func (e *Engine) resolve() {
 	e.schedule()
 }
 
+// rerate stores the solver's rates for the component cf and brings the
+// rate classes up to date. The per-flow pass only tallies, per class,
+// how many members were re-rated and whether all got the same bits. A
+// class whose every member moved to one rate is relabelled in place:
+// its members and their rem order are unchanged. If another class this
+// re-solve touched already holds the new rate, the smaller of the two
+// merges into the larger. Only flows that split from their class move
+// one by one, to the class of their new rate, which is looked for among
+// the touched classes first.
+//
+// A relabelled class merges only with a class this re-solve touched.
+// Classes of different components may hold the same rate: merging them
+// would only have the next re-solve of either component split them
+// again, one flow at a time.
+func (e *Engine) rerate(cf []*flowState) {
+	stamp := e.resolves
+	touched := e.touched[:0]
+	for i, fs := range cf {
+		r := e.srates[i]
+		e.rate[fs.pos] = r
+		b := math.Float64bits(r)
+		c := fs.cls
+		if c.stamp != stamp {
+			c.stamp, c.seen, c.next, c.uniform = stamp, 0, b, true
+			touched = append(touched, c)
+		}
+		c.seen++
+		if b != c.next {
+			c.uniform = false
+		}
+	}
+	split := false
+	for _, c := range touched {
+		switch {
+		case c.uniform && c.next == c.bits:
+			// The re-rated members kept their rate.
+		case c.uniform && c.seen == len(c.members):
+			c.bits = c.next
+			if d := twin(touched, c.bits, c); d != nil {
+				e.merge(c, d)
+			}
+		default:
+			split = true
+		}
+	}
+	if split {
+		for _, fs := range cf {
+			b := math.Float64bits(e.rate[fs.pos])
+			if b == fs.cls.bits {
+				continue
+			}
+			e.leave(fs)
+			c := twin(touched, b, nil)
+			if c == nil {
+				c = e.classFor(b)
+			}
+			e.join(fs, c)
+		}
+	}
+	e.touched = touched[:0]
+}
+
+// twin returns a non-empty class in cs, other than not, holding rate
+// bits b, or nil.
+func twin(cs []*rateClass, b uint64, not *rateClass) *rateClass {
+	for _, d := range cs {
+		if d != not && d.bits == b && len(d.members) > 0 {
+			return d
+		}
+	}
+	return nil
+}
+
+// merge empties the smaller of two equal-rate classes into the larger.
+func (e *Engine) merge(a, b *rateClass) {
+	if len(a.members) > len(b.members) {
+		a, b = b, a
+	}
+	for n := len(a.members); n > 0; n-- {
+		fs := a.members[n-1]
+		e.leave(fs)
+		e.join(fs, b)
+	}
+}
+
 // schedule (re)arms the single completion event at the earliest
-// projected flow finish. Kept in place when the target time is
+// projected flow finish: the minimum over the positive-rate classes of
+// lastT + rem/r at each class's smallest-rem member, the same bits a
+// scan of every flow yields. Kept in place when the target time is
 // unchanged, sparing the event heap a cancel+push per resolve. The
 // event is a ticketed pooled event (see sim.PostTicket), so the heavy
 // re-arm traffic of a busy fabric recycles one struct instead of
 // allocating per resolve.
 func (e *Engine) schedule() {
 	t := math.MaxFloat64
-	rem := e.rem
-	for i, r := range e.rate {
+	for _, c := range e.classes {
+		r := math.Float64frombits(c.bits)
 		if r <= 0 {
 			continue
 		}
-		if at := e.lastT + rem[i]/r; at < t {
+		if at := e.lastT + e.rem[e.classMin(c).pos]/r; at < t {
 			t = at
 		}
 	}
@@ -647,30 +894,50 @@ func (e *Engine) schedule() {
 
 // completions retires every flow whose demand has drained, recomputes
 // the affected allocations once, then fires the completion callbacks in
-// insertion order. Callbacks may start new flows (synchronous training
-// reacts to transfer completion by sending the next update); the engine
-// state is consistent before the first callback runs.
+// insertion order. Only classes whose smallest member has drained are
+// swept, rate-0 classes included. Callbacks may start new flows
+// (synchronous training reacts to transfer completion by sending the
+// next update); the engine state is consistent before the first
+// callback runs.
 func (e *Engine) completions() {
 	e.next = sim.Ticket{}
 	e.advance(e.k.Now())
 	done := e.doneBuf[:0]
-	kept := 0
-	for i, fs := range e.order {
-		if e.rem[i] <= completionEps {
-			done = append(done, fs)
-			delete(e.flows, fs.id)
-			e.markFlowDirty(fs)
-			e.detach(fs)
+	for i := 0; i < len(e.classes); {
+		c := e.classes[i]
+		if e.rem[e.classMin(c).pos] > completionEps {
+			i++
 			continue
 		}
-		if kept != i {
-			e.order[kept], e.rem[kept], e.rate[kept] = fs, e.rem[i], e.rate[i]
-			fs.pos = kept
+		kept := c.members[:0]
+		var min *flowState
+		for _, fs := range c.members {
+			if e.rem[fs.pos] <= completionEps {
+				fs.cls = nil
+				done = append(done, fs)
+				continue
+			}
+			fs.ci = len(kept)
+			kept = append(kept, fs)
+			if min == nil || e.rem[fs.pos] < e.rem[min.pos] {
+				min = fs
+			}
 		}
-		kept++
+		clear(c.members[len(kept):])
+		c.members, c.min = kept, min
+		if len(kept) == 0 {
+			e.dropClass(c) // moves the last class to i
+			continue
+		}
+		i++
 	}
-	clear(e.order[kept:])
-	e.order, e.rem, e.rate = e.order[:kept], e.rem[:kept], e.rate[:kept]
+	slices.SortFunc(done, func(a, b *flowState) int { return a.pos - b.pos })
+	for _, fs := range done {
+		e.markFlowDirty(fs)
+		e.detach(fs)
+		e.retire(fs)
+	}
+	e.compact()
 	e.doneBuf = done[:0]
 	e.resolve()
 	for _, fs := range done {

@@ -118,10 +118,10 @@ func TestEngineUpdateFlowReband(t *testing.T) {
 	h := newHarness()
 	l := h.e.AddLink(100)
 	h.e.AddFlow(1, []int{l}, l, 0, 1, 1000, nil)
-	h.e.AddFlow(2, []int{l}, l, 1, 1, 1000, nil)
+	f2 := h.e.AddFlow(2, []int{l}, l, 1, 1, 1000, nil)
 	// At t=2, promote flow 2 to green: they split 50/50 from there.
 	h.k.Post(2, func() {
-		if !h.e.UpdateFlow(2, []int{l}, l, 0, 1) {
+		if !h.e.UpdateFlow(f2, []int{l}, l, 0, 1) {
 			t.Error("UpdateFlow returned false")
 		}
 	})
@@ -136,9 +136,9 @@ func TestEngineRemoveFlow(t *testing.T) {
 	h := newHarness()
 	l := h.e.AddLink(100)
 	h.e.AddFlow(1, []int{l}, -1, 0, 1, 1000, nil)
-	h.e.AddFlow(2, []int{l}, -1, 0, 1, 1000, nil)
+	f2 := h.e.AddFlow(2, []int{l}, -1, 0, 1, 1000, nil)
 	h.k.Post(4, func() {
-		if !h.e.RemoveFlow(2) {
+		if !h.e.RemoveFlow(f2) {
 			t.Error("RemoveFlow returned false")
 		}
 	})
@@ -148,7 +148,7 @@ func TestEngineRemoveFlow(t *testing.T) {
 	if len(h.done) != 1 {
 		t.Fatalf("removed flow must not fire onDone: %v", h.done)
 	}
-	if _, ok := h.e.Remaining(2); ok {
+	if _, ok := h.e.Remaining(f2); ok {
 		t.Fatal("removed flow still queryable")
 	}
 }
@@ -238,16 +238,46 @@ func TestEngineRandomSoakConservation(t *testing.T) {
 func TestEngineBacklogAndRateAccessors(t *testing.T) {
 	h := newHarness()
 	l := h.e.AddLink(100)
-	h.e.AddFlow(1, []int{l}, -1, 0, 1, 1000, nil)
-	if r, ok := h.e.Rate(1); !ok || r != 100 {
+	f1 := h.e.AddFlow(1, []int{l}, -1, 0, 1, 1000, nil)
+	if r, ok := h.e.Rate(f1); !ok || r != 100 {
 		t.Fatalf("Rate = %g, %v", r, ok)
 	}
 	h.k.Post(3, func() {
 		h.e.Sync()
 		approx(t, h.e.LinkBacklogBytes(l), 700, 1e-6, "backlog at t=3")
-		if rem, ok := h.e.Remaining(1); !ok || math.Abs(rem-700) > 1e-6 {
+		if rem, ok := h.e.Remaining(f1); !ok || math.Abs(rem-700) > 1e-6 {
 			t.Fatalf("Remaining = %g, %v", rem, ok)
 		}
 	})
 	h.run(t)
+}
+
+// A flow that has drained to within completionEps but has not been
+// retired yet, and whose rate a same-instant re-solve then drops to 0,
+// still completes at the next completion event, and its callback keeps
+// insertion order there. Flow 1 (band 1) would finish at t=10; at
+// t=9.9999, 0.01 bytes short, flow 2 arrives in band 0 on the same
+// band link and takes the whole link, stalling flow 1. Flow 2 finishes
+// at t=9.9999+5 and retires flow 1 with it, first.
+func TestEngineRetiresDrainedStalledFlow(t *testing.T) {
+	h := newHarness()
+	l := h.e.AddLink(100)
+	f1 := h.e.AddFlow(1, []int{l}, l, 1, 1, 1000, nil)
+	h.k.Post(9.9999, func() {
+		h.e.AddFlow(2, []int{l}, l, 0, 1, 500, nil)
+		if r, ok := h.e.Rate(f1); !ok || r != 0 {
+			t.Errorf("stalled flow: rate %v, active %v; want rate 0 while active", r, ok)
+		}
+		if rem, _ := h.e.Remaining(f1); rem <= 0 || rem > completionEps {
+			t.Errorf("stalled flow has %v bytes left; want (0, %v]", rem, completionEps)
+		}
+	})
+	h.run(t)
+	if len(h.done) != 2 || h.done[0].id != 1 || h.done[1].id != 2 {
+		t.Fatalf("completions %v, want flow 1 then flow 2", h.done)
+	}
+	approx(t, h.done[0].at, 9.9999+5, 1e-9, "stalled flow retired with flow 2")
+	if h.done[0].at != h.done[1].at {
+		t.Fatalf("flow 1 retired at %v, flow 2 at %v; want one completion event", h.done[0].at, h.done[1].at)
+	}
 }

@@ -20,7 +20,7 @@ const engineGolden = "golden_engine_completions.txt"
 // then the served-byte and busy-second counters of every link that
 // carried traffic, as float bits.
 func renderEngineCompletions(w *bytes.Buffer, completions int) {
-	k, e, done := psPopulation(4, 160, func(now float64, id FlowID) {
+	k, e, done := psPopulation(leafSpine{rackSize: 40, spines: 4}, 4, 160, func(now float64, id FlowID) {
 		fmt.Fprintf(w, "%016x %d\n", math.Float64bits(now), id)
 	})
 	k.Run(func() bool { return *done >= completions })

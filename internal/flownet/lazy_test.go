@@ -14,20 +14,32 @@ import (
 // and completions that often start a replacement flow. The events sit
 // at distinct instants, so the run logs well over settleLogLen advance
 // intervals. before and after bracket every kernel step; after each
-// step the engine's bookkeeping invariants are checked.
+// step the engine's bookkeeping invariants are checked, and so is a
+// full-scan oracle: the armed completion time and the retired set must
+// be what scanning every active flow yields.
+//
+// In a bottleneck run every path crosses link 0, and weights are whole
+// numbers from 1 to 6, so the flows that link limits split into a few
+// many-member rate classes that re-solves relabel and split.
 type randomEngineRun struct {
-	tb  testing.TB
-	k   *sim.Kernel
-	e   *Engine
-	rng *rand.Rand
-	ids []FlowID // active flows, insertion order
-	nid FlowID
+	tb         testing.TB
+	k          *sim.Kernel
+	e          *Engine
+	rng        *rand.Rand
+	bottleneck bool
+	ids        []FlowID // active flows, insertion order
+	handles    map[FlowID]Handle
+	nid        FlowID
 
 	// reads holds the counters read inside the last step, and removed
 	// the flow it cancelled (0 if none), for the caller to check once
-	// the step returns.
-	reads   []counterRead
-	removed FlowID
+	// the step returns. completing reports that the step ran the
+	// completion event, and retired lists the flows it reported done,
+	// in callback order.
+	reads      []counterRead
+	removed    FlowID
+	completing bool
+	retired    []FlowID
 }
 
 // maxRandomFlows bounds the random run's population, so flows stalled
@@ -39,23 +51,43 @@ type counterRead struct {
 	served, busy float64
 }
 
-func newRandomEngineRun(tb testing.TB, seed int64) *randomEngineRun {
-	r := &randomEngineRun{tb: tb, k: sim.NewKernel(), rng: rand.New(rand.NewSource(seed))}
+func newRandomEngineRun(tb testing.TB, seed int64, bottleneck bool) *randomEngineRun {
+	r := &randomEngineRun{
+		tb: tb, k: sim.NewKernel(), rng: rand.New(rand.NewSource(seed)),
+		bottleneck: bottleneck, handles: make(map[FlowID]Handle),
+	}
 	r.e = NewEngine(r.k, func(id FlowID, _ any) {
+		r.retired = append(r.retired, id)
 		r.ids = slices.DeleteFunc(r.ids, func(x FlowID) bool { return x == id })
+		delete(r.handles, id)
 		if len(r.ids) < maxRandomFlows && r.rng.Intn(10) < 7 {
 			r.addFlow()
 		}
 	})
+	completions := r.e.completionsFn
+	r.e.completionsFn = func() {
+		r.completing = true
+		completions()
+	}
 	for i := 0; i < 10; i++ {
 		r.e.AddLink(50 + float64(r.rng.Intn(250)))
 	}
 	return r
 }
 
+func (r *randomEngineRun) weight() float64 {
+	if r.bottleneck {
+		return float64(1 + r.rng.Intn(6))
+	}
+	return 1 + 3*r.rng.Float64()
+}
+
 func (r *randomEngineRun) randomPath() []int {
 	n := r.e.NumLinks()
 	links := []int{r.rng.Intn(n)}
+	if r.bottleneck && links[0] != 0 {
+		links = append(links, 0)
+	}
 	for j := r.rng.Intn(3); j > 0; j-- {
 		if l := r.rng.Intn(n); !slices.Contains(links, l) {
 			links = append(links, l)
@@ -74,7 +106,7 @@ func (r *randomEngineRun) bandLink(links []int) int {
 func (r *randomEngineRun) addFlow() {
 	r.nid++
 	links := r.randomPath()
-	r.e.AddFlow(r.nid, links, r.bandLink(links), r.rng.Intn(3), 1+3*r.rng.Float64(), 5+400*r.rng.Float64(), nil)
+	r.handles[r.nid] = r.e.AddFlow(r.nid, links, r.bandLink(links), r.rng.Intn(3), r.weight(), 5+400*r.rng.Float64(), nil)
 	r.ids = append(r.ids, r.nid)
 }
 
@@ -84,12 +116,13 @@ func (r *randomEngineRun) mutate() {
 		r.addFlow()
 	case op < 10:
 		i := r.rng.Intn(len(r.ids))
-		r.e.RemoveFlow(r.ids[i])
+		r.e.RemoveFlow(r.handles[r.ids[i]])
 		r.removed = r.ids[i]
+		delete(r.handles, r.ids[i])
 		r.ids = slices.Delete(r.ids, i, i+1)
 	case op < 13:
 		links := r.randomPath()
-		r.e.UpdateFlow(r.ids[r.rng.Intn(len(r.ids))], links, r.bandLink(links), r.rng.Intn(3), 1+3*r.rng.Float64())
+		r.e.UpdateFlow(r.handles[r.ids[r.rng.Intn(len(r.ids))]], links, r.bandLink(links), r.rng.Intn(3), r.weight())
 	case op < 16:
 		c := 20 + 380*r.rng.Float64()
 		if r.rng.Intn(10) == 0 {
@@ -120,10 +153,13 @@ func (r *randomEngineRun) run(events int, before, after func()) int {
 		r.k.Post(at, r.mutate)
 	}
 	advances := 0
+	var snap []oracleFlow
 	for {
 		t0, resolves := r.e.lastT, r.e.resolves
+		snap = r.snapshot(snap[:0])
 		before()
 		r.reads, r.removed = r.reads[:0], 0
+		r.completing, r.retired = false, r.retired[:0]
 		if !r.k.Step() {
 			return advances
 		}
@@ -131,23 +167,137 @@ func (r *randomEngineRun) run(events int, before, after func()) int {
 			advances++
 		}
 		r.checkBookkeeping(r.e.resolves != resolves)
+		r.checkRetired(snap, r.e.lastT-t0)
+		if r.e.resolves != resolves {
+			r.checkArmed()
+		}
 		after()
 	}
 }
 
-// checkBookkeeping asserts the engine's index invariants: every flow
-// knows its position in order, rem and rate run parallel to order, the
-// component bitset is clear between resolves, and — when the step
-// resolved — the component was handed to the solver in insertion order.
+// oracleFlow is one active flow as a full scan sees it before a step.
+type oracleFlow struct {
+	id        FlowID
+	rem, rate float64
+}
+
+// snapshot appends every active flow, in insertion order.
+func (r *randomEngineRun) snapshot(buf []oracleFlow) []oracleFlow {
+	for i, fs := range r.e.order {
+		if fs != nil {
+			buf = append(buf, oracleFlow{fs.id, r.e.rem[i], r.e.rate[i]})
+		}
+	}
+	return buf
+}
+
+// checkRetired requires a completion step to retire exactly the flows
+// a full scan would: every flow active before the step whose demand,
+// advanced by dt, is within completionEps, whatever its rate, in
+// insertion order. Any other step retires nothing.
+func (r *randomEngineRun) checkRetired(snap []oracleFlow, dt float64) {
+	var want []FlowID
+	if r.completing {
+		for _, s := range snap {
+			rem := s.rem
+			if dt > 0 && s.rate > 0 {
+				if rem -= s.rate * dt; rem < 0 {
+					rem = 0
+				}
+			}
+			if rem <= completionEps {
+				want = append(want, s.id)
+			}
+		}
+	}
+	if !slices.Equal(r.retired, want) {
+		r.tb.Fatalf("t=%g: retired %v, a full scan retires %v", r.k.Now(), r.retired, want)
+	}
+}
+
+// checkArmed requires the armed completion event, after a step that
+// re-solved, to sit at the earliest projected finish over every
+// positive-rate flow, clamped to now, bit for bit; and no event to be
+// armed when no flow is moving.
+func (r *randomEngineRun) checkArmed() {
+	e := r.e
+	t := math.MaxFloat64
+	for i, rt := range e.rate {
+		if rt <= 0 {
+			continue
+		}
+		if at := e.lastT + e.rem[i]/rt; at < t {
+			t = at
+		}
+	}
+	if t == math.MaxFloat64 {
+		if e.next.Active() {
+			r.tb.Fatalf("t=%g: completion armed at %v with no flow moving", r.k.Now(), e.nextAt)
+		}
+		return
+	}
+	if now := r.k.Now(); t < now {
+		t = now
+	}
+	if !e.next.Active() || math.Float64bits(e.nextAt) != math.Float64bits(t) {
+		r.tb.Fatalf("t=%g: completion armed at %v (active %v), a full scan gives %v",
+			r.k.Now(), e.nextAt, e.next.Active(), t)
+	}
+}
+
+// checkBookkeeping asserts the engine's index invariants: every live
+// flow knows its position in order, rem and rate run parallel to order
+// and are zero at each tombstone, the tombstone count is right and
+// within the compaction bound, every live flow sits in the rate class
+// of its rate's bits, each class knows its index and holds a correct
+// smallest-rem member when it names one, the component bitset is clear
+// between resolves, and — when the step resolved — the component was
+// handed to the solver in insertion order.
 func (r *randomEngineRun) checkBookkeeping(resolved bool) {
 	e := r.e
 	if len(e.rem) != len(e.order) || len(e.rate) != len(e.order) {
 		r.tb.Fatalf("t=%g: %d flows, %d rem, %d rate", r.k.Now(), len(e.order), len(e.rem), len(e.rate))
 	}
+	dead := 0
 	for i, fs := range e.order {
+		if fs == nil {
+			if e.rem[i] != 0 || e.rate[i] != 0 {
+				r.tb.Fatalf("t=%g: tombstone %d has rem %v rate %v", r.k.Now(), i, e.rem[i], e.rate[i])
+			}
+			dead++
+			continue
+		}
 		if fs.pos != i {
 			r.tb.Fatalf("t=%g: flow %d at order[%d] has pos %d", r.k.Now(), fs.id, i, fs.pos)
 		}
+		if c := fs.cls; c == nil || c.members[fs.ci] != fs || c.bits != math.Float64bits(e.rate[i]) {
+			r.tb.Fatalf("t=%g: flow %d (rate %v) is not in its rate class", r.k.Now(), fs.id, e.rate[i])
+		}
+	}
+	if dead != e.dead || 8*dead > len(e.order) {
+		r.tb.Fatalf("t=%g: %d tombstones in %d slots, engine counts %d", r.k.Now(), dead, len(e.order), e.dead)
+	}
+	members := 0
+	for i, c := range e.classes {
+		if c.idx != i || len(c.members) == 0 {
+			r.tb.Fatalf("t=%g: class %d has index %d and %d members", r.k.Now(), i, c.idx, len(c.members))
+		}
+		members += len(c.members)
+		if c.min == nil {
+			continue
+		}
+		if c.min.cls != c {
+			r.tb.Fatalf("t=%g: class %d names a smallest member outside it", r.k.Now(), i)
+		}
+		for _, fs := range c.members {
+			if e.rem[fs.pos] < e.rem[c.min.pos] {
+				r.tb.Fatalf("t=%g: class %d smallest member has rem %v, flow %d has %v",
+					r.k.Now(), i, e.rem[c.min.pos], fs.id, e.rem[fs.pos])
+			}
+		}
+	}
+	if members != e.ActiveFlows() {
+		r.tb.Fatalf("t=%g: classes hold %d flows, %d active", r.k.Now(), members, e.ActiveFlows())
 	}
 	for w, word := range e.compMark {
 		if word != 0 {
@@ -172,7 +322,7 @@ func (r *randomEngineRun) checkBookkeeping(resolved bool) {
 // mid-run read and on every link at the end.
 func TestEngineLazyCountersMatchEager(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		r := newRandomEngineRun(t, seed)
+		r := newRandomEngineRun(t, seed, false)
 		var rates, caps, served, busy []float64
 		var t0 float64
 		before := func() {
@@ -232,7 +382,7 @@ func TestEngineLazyCountersMatchEager(t *testing.T) {
 // insertion order.
 func TestEngineLinkBacklogMatchesFullScan(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		r := newRandomEngineRun(t, seed)
+		r := newRandomEngineRun(t, seed, false)
 		checked := 0
 		after := func() {
 			if r.rng.Intn(5) != 0 {
@@ -241,7 +391,7 @@ func TestEngineLinkBacklogMatchesFullScan(t *testing.T) {
 			for l := 0; l < r.e.NumLinks(); l++ {
 				var want float64
 				for _, fs := range r.e.order {
-					if slices.Contains(fs.links, l) {
+					if fs != nil && slices.Contains(fs.links, l) {
 						want += r.e.rem[fs.pos]
 					}
 				}
@@ -261,18 +411,20 @@ func TestEngineLinkBacklogMatchesFullScan(t *testing.T) {
 }
 
 // FuzzEngineOps runs a randomEngineRun seeded from the fuzz input,
-// which checks the bookkeeping invariants after every step, and checks
-// byte conservation on top: each step's advance takes exactly rate·dt
+// which checks the bookkeeping invariants and the full-scan oracle
+// after every step, and checks byte conservation on top: each step's advance takes exactly rate·dt
 // (clamped at zero) off every flow's demand, a flow that left without
 // RemoveFlow had drained to completionEps, and every link has served
 // the bytes its flows lost while crossing it. Wired into `make fuzz`.
 func FuzzEngineOps(f *testing.F) {
-	f.Add(int64(1), uint16(300))
-	f.Add(int64(2), uint16(1900))
-	f.Fuzz(func(t *testing.T, seed int64, events uint16) {
-		r := newRandomEngineRun(t, seed)
+	f.Add(int64(1), uint16(300), false)
+	f.Add(int64(2), uint16(1900), false)
+	f.Add(int64(3), uint16(1900), true)
+	f.Fuzz(func(t *testing.T, seed int64, events uint16, bottleneck bool) {
+		r := newRandomEngineRun(t, seed, bottleneck)
 		type flowSnap struct {
 			id        FlowID
+			h         Handle
 			rem, rate float64
 			links     []int
 		}
@@ -283,7 +435,9 @@ func FuzzEngineOps(f *testing.F) {
 			t0 = r.e.lastT
 			snap = snap[:0]
 			for i, fs := range r.e.order {
-				snap = append(snap, flowSnap{fs.id, r.e.rem[i], r.e.rate[i], slices.Clone(fs.links)})
+				if fs != nil {
+					snap = append(snap, flowSnap{fs.id, Handle{fs, fs.gen}, r.e.rem[i], r.e.rate[i], slices.Clone(fs.links)})
+				}
 			}
 		}
 		after := func() {
@@ -302,11 +456,11 @@ func FuzzEngineOps(f *testing.F) {
 						shadow[l] += s.rem - want
 					}
 				}
-				fs, active := r.e.flows[s.id]
+				rem, active := r.e.Remaining(s.h)
 				switch {
-				case active && math.Float64bits(r.e.rem[fs.pos]) != math.Float64bits(want):
+				case active && math.Float64bits(rem) != math.Float64bits(want):
 					t.Fatalf("t=%g flow %d: remaining %v, want %v - %v·%v = %v",
-						r.k.Now(), s.id, r.e.rem[fs.pos], s.rem, s.rate, dt, want)
+						r.k.Now(), s.id, rem, s.rem, s.rate, dt, want)
 				case !active && s.id != r.removed && want > completionEps:
 					t.Fatalf("t=%g flow %d completed with %v bytes left", r.k.Now(), s.id, want)
 				}

@@ -12,12 +12,12 @@ func (f *Fabric) FlowBandBytesFullScan(host int) map[int]uint64 {
 	for band, b := range fm.bandDone[host] {
 		m[band] = uint64(b)
 	}
-	fm.eng.ForEach(func(id flownet.FlowID, tag any) {
+	fm.eng.ForEach(func(_ flownet.FlowID, tag any) {
 		fl := tag.(*Flow)
 		if fl.Spec.Src != host {
 			return
 		}
-		if rem, ok := fm.eng.Remaining(id); ok {
+		if rem, ok := fm.eng.Remaining(fl.flowHandle); ok {
 			m[fl.flowBand] += uint64(float64(fl.Spec.Bytes) - rem)
 		}
 	})

@@ -223,7 +223,7 @@ func (f *Fabric) sendOneFlow(src int, spec FlowSpec, now float64) (*Flow, int) {
 	fl := f.newFlow()
 	fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
 	fl.window = f.sampleWindow()
-	f.flows[fl.ID] = fl
+	f.active++
 	if spec.Dst == src {
 		// Loopback: memory-speed copy, propagation delay only.
 		f.k.PostArgAfter(f.cfg.PropDelaySec, fm.completeFn, fl)
@@ -262,7 +262,7 @@ func (fm *flowMode) startFlow(fl *Flow) {
 	fl.flowBand = band
 	links := fm.pathLinks(src, classLink, fl)
 	fl.flowLatency = fm.tailLatency(fl)
-	fm.eng.AddFlow(flownet.FlowID(fl.ID), links, fm.egressLink[src], band,
+	fl.flowHandle = fm.eng.AddFlow(flownet.FlowID(fl.ID), links, fm.egressLink[src], band,
 		float64(fl.window), float64(fl.Spec.Bytes), fl)
 }
 
@@ -312,7 +312,7 @@ func (f *Fabric) completeAnalyticFlow(fl *Flow) {
 	}
 	fl.deliveredBytes = fl.Spec.Bytes
 	fl.Finished = now
-	delete(f.flows, fl.ID)
+	f.active--
 	f.completed++
 	if fm := f.flow; fm != nil && fl.Spec.Dst != fl.Spec.Src {
 		m := fm.bandDone[fl.Spec.Src]
@@ -348,7 +348,7 @@ func (f *Fabric) EgressReconfigured(host int) {
 	if fm == nil {
 		return
 	}
-	fm.eng.ForEach(func(id flownet.FlowID, tag any) {
+	fm.eng.ForEach(func(_ flownet.FlowID, tag any) {
 		fl := tag.(*Flow)
 		if fl.Spec.Src != host {
 			return
@@ -356,7 +356,7 @@ func (f *Fabric) EgressReconfigured(host int) {
 		band, classLink := fm.classify(host, fl)
 		fl.flowBand = band
 		links := fm.pathLinks(host, classLink, fl)
-		fm.eng.UpdateFlow(id, links, fm.egressLink[host], band, float64(fl.window))
+		fm.eng.UpdateFlow(fl.flowHandle, links, fm.egressLink[host], band, float64(fl.window))
 	})
 }
 

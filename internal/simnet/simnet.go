@@ -11,6 +11,7 @@ package simnet
 import (
 	"fmt"
 
+	"repro/internal/flownet"
 	"repro/internal/qdisc"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -148,7 +149,7 @@ type Fabric struct {
 	cfg        Config
 	hosts      []*Host
 	nextFlowID uint64
-	flows      map[uint64]*Flow
+	active     int // flows started and not yet delivered
 	completed  uint64
 	// dropRNG is a dedicated stream for injected chunk loss so that
 	// enabling fault injection never perturbs the window/jitter draws
@@ -201,7 +202,6 @@ func New(k *sim.Kernel, rng *sim.RNG, cfg Config) *Fabric {
 		rng:     rng.Stream("simnet"),
 		dropRNG: rng.Stream("simnet-drop"),
 		cfg:     cfg,
-		flows:   make(map[uint64]*Flow),
 	}
 	f.deliverIngressFn = func(a any) {
 		c := a.(*qdisc.Chunk)
@@ -333,7 +333,7 @@ func (f *Fabric) CoreLink(id int) *Link {
 func (f *Fabric) Hosts() []*Host { return f.hosts }
 
 // ActiveFlows returns the number of in-flight flows.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return f.active }
 
 // DroppedChunks returns the number of chunks lost to injected drops
 // (each was subsequently retransmitted).
@@ -445,10 +445,12 @@ type Flow struct {
 	// single-hop paths: flat topology, or same-rack in leaf-spine).
 	route []*Link
 	// Flow-mode state: the frozen pipeline-fill tail between the fluid
-	// demand draining and the last byte's arrival, and the egress
-	// priority band the flow was classified into (see flowmode.go).
+	// demand draining and the last byte's arrival, the egress priority
+	// band the flow was classified into, and its flownet handle (see
+	// flowmode.go).
 	flowLatency float64
 	flowBand    int
+	flowHandle  flownet.Handle
 }
 
 // Route returns the flow's core-link path (nil for single-hop paths).
@@ -526,7 +528,7 @@ func (f *Fabric) startChunkFlow(src int, spec FlowSpec, now float64) (*Flow, []*
 	fl := f.newFlow()
 	fl.ID, fl.Spec, fl.Started, fl.FirstByte, fl.Finished = f.newFlowID(), spec, now, -1, -1
 	fl.window = f.sampleWindow()
-	f.flows[fl.ID] = fl
+	f.active++
 	f.makeChunks(fl)
 	fl.chunksOutstanding = len(fl.chunks)
 	if spec.Dst == src {
@@ -709,7 +711,7 @@ func (f *Fabric) chunkDelivered(ch *qdisc.Chunk) {
 				fl.ID, fl.deliveredBytes, fl.Spec.Bytes))
 		}
 		fl.Finished = f.k.Now()
-		delete(f.flows, fl.ID)
+		f.active--
 		f.completed++
 		if f.Tracer != nil {
 			f.Tracer.Emit(trace.Event{
